@@ -1,10 +1,10 @@
 """Mask-level engine: backend selection, memoized results, closures.
 
-The engine compiles a ReactionSystem into parallel mask tuples once and
-routes hot loops to a kernel. Backend choice: an explicit argument wins,
-then the RSYS_KERNEL environment variable ("pure" or "compiled"), then
-the compiled kernel whenever it is importable and the species table fits
-in 64 bits.
+The engine reads the mask tuples a ReactionSystem builds once, memoizes
+results for the life of one call, and routes hot loops to a kernel.
+Backend choice: an explicit argument wins, then the RSYS_KERNEL
+environment variable ("pure" or "compiled"), then the compiled kernel
+whenever it is importable and the species table fits in 64 bits.
 """
 
 from __future__ import annotations
@@ -75,13 +75,10 @@ class Engine:
         self.system = system
         self.table = system.species
         self.n = len(system.species)
-        self.rmasks = tuple(r.reactants.mask for r in system.reactions)
-        self.imasks = tuple(r.inhibitors.mask for r in system.reactions)
-        self.pmasks = tuple(r.products.mask for r in system.reactions)
-        mask = 0
-        for r, i in zip(self.rmasks, self.imasks):
-            mask |= r | i
-        self.resource_mask = mask
+        self.rmasks = system.rmasks
+        self.imasks = system.imasks
+        self.pmasks = system.pmasks
+        self.resource_mask = system.resource_mask
         self.kernel = _pick_kernel(self.n, backend)
         self._res_cache: dict[int, int] = {}
 

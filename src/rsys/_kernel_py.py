@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 
+# res_mask belongs to the kernel API (Engine.res calls kernel.res_mask); the
+# searches below look it up as a module global.
+from .core import res_mask
+
 BACKEND = "pure"
 
 FOUND = 0
@@ -19,17 +23,6 @@ BUDGET_STOP = 3
 
 GOAL_FULL = 0
 GOAL_PROJECTED = 1
-
-
-def res_mask(
-    state: int, rmasks: tuple[int, ...], imasks: tuple[int, ...], pmasks: tuple[int, ...]
-) -> int:
-    """Union of products of the reactions enabled in `state`."""
-    out = 0
-    for r, i, p in zip(rmasks, imasks, pmasks):
-        if state & r == r and state & i == 0:
-            out |= p
-    return out
 
 
 def bfs_witness(

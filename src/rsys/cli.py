@@ -3,7 +3,7 @@
 Exit codes: 0 success (or decided true), 1 decided false / no witness /
 search budget exhausted, 2 invalid input or refused problem size, 64
 usage or I/O error. Output is byte-deterministic for fixed inputs,
-flags, and seed, independent of ``--workers``.
+flags, and seed.
 
 States on the command line are inline sets (``"{GF, iPI3K}"``), file
 references (``@path``), or named corpus states (``@S19`` or bare
@@ -22,6 +22,8 @@ import click
 
 from . import __version__
 from .control import (
+    FRONTIER_LIMIT_DEFAULT,
+    SPECIES_LIMIT_DEFAULT,
     AllowedSet,
     ContextConstraint,
     Exhaustive,
@@ -321,7 +323,6 @@ def reach(model: str, query_file: str, node_budget: Optional[int], fmt: str) -> 
 @click.option("--sample", type=int, default=None,
               help="Check only K sampled pairs instead of all of them.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--species-limit", type=int, default=None,
               help="Exhaustive-scan ceiling on |S| (or |T|).")
 @click.option("--node-budget", type=int, default=None, help="Per-search state cap.")
@@ -343,7 +344,6 @@ def decide(
     minimal_i_spec: Optional[str],
     sample: Optional[int],
     seed: int,
-    workers: int,
     species_limit: Optional[int],
     node_budget: Optional[int],
     proviso: str,
@@ -356,8 +356,8 @@ def decide(
     table = system.species
     scope = Sampled(sample, seed) if sample is not None else Exhaustive()
     if species_limit is None:
-        species_limit = len(table) if force else 16
-    frontier_limit = len(table) if force else 16
+        species_limit = len(table) if force else SPECIES_LIMIT_DEFAULT
+    frontier_limit = len(table) if force else FRONTIER_LIMIT_DEFAULT
     targets = (
         _parse_state(targets_spec, table, corpus, "target set")
         if targets_spec is not None
@@ -367,7 +367,6 @@ def decide(
         scope=scope,
         species_limit=species_limit,
         node_budget=node_budget,
-        workers=workers,
     )
 
     def describe(verdict) -> None:

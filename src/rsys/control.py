@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from itertools import combinations
@@ -37,6 +36,7 @@ from .core import (
     ReactionSystem,
     SpeciesSet,
     SpeciesTable,
+    _check_table,
     run_process,
 )
 from .errors import BudgetError, RefusalError, RsysError, SpeciesMismatchError
@@ -48,11 +48,13 @@ FRONTIER_LIMIT_DEFAULT = 16
 UNLIMITED = 1 << 62
 
 
-def _check_table(sset: SpeciesSet, system: ReactionSystem, what: str) -> None:
-    if sset.table is not system.species and sset.table != system.species:
-        raise SpeciesMismatchError(
-            f"{what} uses a different species table than the system"
-        )
+def _node_budget(node_budget: Optional[int]) -> int:
+    """The state cap passed to a kernel; None means unlimited."""
+    if node_budget is None:
+        return UNLIMITED
+    if node_budget < 0:
+        raise RsysError(f"node budget must be at least 0, got {node_budget}")
+    return node_budget
 
 
 class ContextConstraint:
@@ -323,6 +325,7 @@ def find_witness(
     covers runs up to that length. A node budget turns an inconclusive
     search into a BudgetError instead.
     """
+    budget = _node_budget(node_budget)
     _check_table(query.source, system, "source")
     _check_table(query.target, system, "target")
     if query.targets is not None:
@@ -340,7 +343,6 @@ def find_witness(
         return None
     eng = Engine(system)
     depth = -1 if query.depth_limit is None else query.depth_limit
-    budget = UNLIMITED if node_budget is None else node_budget
     status, _, path, _, visited = eng.bfs_witness(
         [query.source.mask], ctx_masks, goal_kind, goal_mask, t_mask, depth, budget
     )
@@ -496,8 +498,8 @@ def _decide(
     species_limit: int,
     frontier_limit: int,
     node_budget: Optional[int],
-    workers: int,
 ) -> ControllabilityVerdict:
+    budget = _node_budget(node_budget)
     table = system.species
     if proviso not in ("projection", "superset"):
         raise RsysError(
@@ -521,7 +523,6 @@ def _decide(
         )
     ctx_masks = _contexts_checked(system, constraint)
     eng = Engine(system)
-    budget = UNLIMITED if node_budget is None else node_budget
     outside_subs = submasks_ascending(outside)
 
     if isinstance(scope, Sampled):
@@ -568,31 +569,9 @@ def _decide(
         y_masks = _canonical_sorted(down)
 
     x_masks = submasks_ascending(t_mask)
-    if workers <= 1 or len(x_masks) < 2:
-        checked, cex = _scan_pairs(
-            eng, x_masks, y_masks, ctx_masks, outside_subs, t_mask, budget
-        )
-    else:
-        chunk_size = (len(x_masks) + workers - 1) // workers
-        chunks = [
-            x_masks[i : i + chunk_size]
-            for i in range(0, len(x_masks), chunk_size)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda xs: _scan_pairs(
-                        eng, xs, y_masks, ctx_masks, outside_subs, t_mask, budget
-                    ),
-                    chunks,
-                )
-            )
-        checked, cex = 0, None
-        for part_checked, part_cex in results:
-            checked += part_checked
-            if part_cex is not None:
-                cex = part_cex
-                break
+    checked, cex = _scan_pairs(
+        eng, x_masks, y_masks, ctx_masks, outside_subs, t_mask, budget
+    )
     if cex is None:
         return ControllabilityVerdict(True, None, checked)
     return ControllabilityVerdict(
@@ -606,7 +585,6 @@ def decide_controllable(
     scope: Scope = Exhaustive(),
     species_limit: int = SPECIES_LIMIT_DEFAULT,
     node_budget: Optional[int] = None,
-    workers: int = 1,
 ) -> ControllabilityVerdict:
     """Can every source be steered to every image state under the
     constraint?
@@ -623,7 +601,6 @@ def decide_controllable(
         species_limit,
         frontier_limit=0,
         node_budget=node_budget,
-        workers=workers,
     )
 
 
@@ -636,7 +613,6 @@ def decide_target_controllable(
     species_limit: int = SPECIES_LIMIT_DEFAULT,
     frontier_limit: int = FRONTIER_LIMIT_DEFAULT,
     node_budget: Optional[int] = None,
-    workers: int = 1,
 ) -> ControllabilityVerdict:
     """decide_controllable restricted to projections onto `targets`.
 
@@ -656,7 +632,6 @@ def decide_target_controllable(
         species_limit,
         frontier_limit,
         node_budget,
-        workers,
     )
 
 
@@ -675,10 +650,10 @@ def minimal_n(
     species_limit: int = SPECIES_LIMIT_DEFAULT,
     frontier_limit: int = FRONTIER_LIMIT_DEFAULT,
     node_budget: Optional[int] = None,
-    workers: int = 1,
 ) -> MinimalNReport:
     """Ascending scan n = 0, 1, …, |S|−1; the first true n is minimal
     because larger bounds only add contexts."""
+    _node_budget(node_budget)
     verdicts: list[tuple[int, ControllabilityVerdict]] = []
     for n in range(len(system.species)):
         verdict = _decide_dispatch(
@@ -689,7 +664,6 @@ def minimal_n(
             species_limit,
             frontier_limit,
             node_budget,
-            workers,
         )
         verdicts.append((n, verdict))
         if verdict.decision:
@@ -719,7 +693,6 @@ def minimal_I(
     species_limit: int = SPECIES_LIMIT_DEFAULT,
     frontier_limit: int = FRONTIER_LIMIT_DEFAULT,
     node_budget: Optional[int] = None,
-    workers: int = 1,
 ) -> MinimalSetReport:
     """Greedy single pass over `start` in species order, dropping every
     element whose removal keeps the verdict true.
@@ -739,7 +712,6 @@ def minimal_I(
             species_limit,
             frontier_limit,
             node_budget,
-            workers,
         )
 
     start_verdict = probe(start)
@@ -765,11 +737,10 @@ def _decide_dispatch(
     species_limit: int,
     frontier_limit: int,
     node_budget: Optional[int],
-    workers: int,
 ) -> ControllabilityVerdict:
     if targets is None:
         return decide_controllable(
-            system, constraint, scope, species_limit, node_budget, workers
+            system, constraint, scope, species_limit, node_budget
         )
     return decide_target_controllable(
         system,
@@ -780,5 +751,4 @@ def _decide_dispatch(
         species_limit,
         frontier_limit,
         node_budget,
-        workers,
     )

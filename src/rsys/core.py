@@ -245,22 +245,32 @@ class Reaction:
 
 
 class ReactionSystem:
-    """A species table plus a list of reactions over it."""
+    """A species table plus a list of reactions over it.
 
-    __slots__ = ("species", "reactions")
+    The reactions are also kept as parallel reactant, inhibitor and product
+    mask tuples, the form every search loop reads.
+    """
+
+    __slots__ = ("species", "reactions", "rmasks", "imasks", "pmasks", "resource_mask")
 
     def __init__(self, species: SpeciesTable, reactions: Iterable[Reaction]):
         reactions = tuple(reactions)
         probe = SpeciesSet(species, 0)
         seen_labels: set[str] = set()
+        resource_mask = 0
         for r in reactions:
             _same_table(probe, r.reactants)
             if r.label is not None:
                 if r.label in seen_labels:
                     raise ReactionError(f"duplicate reaction label {r.label!r}")
                 seen_labels.add(r.label)
+            resource_mask |= r.reactants.mask | r.inhibitors.mask
         self.species = species
         self.reactions = reactions
+        self.rmasks = tuple(r.reactants.mask for r in reactions)
+        self.imasks = tuple(r.inhibitors.mask for r in reactions)
+        self.pmasks = tuple(r.products.mask for r in reactions)
+        self.resource_mask = resource_mask
 
     @property
     def resources(self) -> SpeciesSet:
@@ -269,17 +279,14 @@ class ReactionSystem:
         Results depend only on the state's intersection with this set:
         result_all(A, T) = result_all(A, T ∩ resources).
         """
-        mask = 0
-        for r in self.reactions:
-            mask |= r.reactants.mask | r.inhibitors.mask
-        return SpeciesSet(self.species, mask)
+        return SpeciesSet(self.species, self.resource_mask)
 
     @property
     def producible(self) -> SpeciesSet:
         """Union of all product sets."""
         mask = 0
-        for r in self.reactions:
-            mask |= r.products.mask
+        for p in self.pmasks:
+            mask |= p
         return SpeciesSet(self.species, mask)
 
     def __eq__(self, other: object) -> bool:
@@ -412,16 +419,32 @@ def result_reaction(reaction: Reaction, state: SpeciesSet) -> SpeciesSet:
     return SpeciesSet(state.table, 0)
 
 
+def _check_table(sset: SpeciesSet, system: ReactionSystem, what: str) -> None:
+    if sset.table is not system.species and sset.table != system.species:
+        raise SpeciesMismatchError(
+            f"{what} uses a different species table than the system"
+        )
+
+
+def res_mask(
+    state: int, rmasks: tuple[int, ...], imasks: tuple[int, ...], pmasks: tuple[int, ...]
+) -> int:
+    """Union of products of the reactions enabled in `state`."""
+    out = 0
+    for r, i, p in zip(rmasks, imasks, pmasks):
+        if state & r == r and state & i == 0:
+            out |= p
+    return out
+
+
 def result_all(system: ReactionSystem, state: SpeciesSet) -> SpeciesSet:
     """Union of products of all reactions enabled in `state`."""
     probe = SpeciesSet(system.species, 0)
     _same_table(probe, state)
-    m = state.mask
-    out = 0
-    for r in system.reactions:
-        if r.reactants.mask & ~m == 0 and r.inhibitors.mask & m == 0:
-            out |= r.products.mask
-    return SpeciesSet(system.species, out)
+    return SpeciesSet(
+        system.species,
+        res_mask(state.mask, system.rmasks, system.imasks, system.pmasks),
+    )
 
 
 def step(system: ReactionSystem, state: SpeciesSet, context: SpeciesSet) -> SpeciesSet:
@@ -448,18 +471,21 @@ def run_process(
         ctxs = tuple(contexts)
     if not ctxs:
         raise RsysError("empty context sequence")
-    probe = SpeciesSet(system.species, 0)
+    table = system.species
+    probe = SpeciesSet(table, 0)
     for c in ctxs:
         _same_table(probe, c)
     if initial_result is None:
         mode = "context"
-        d = SpeciesSet(system.species, 0)
+        d = probe
     else:
         mode = "given"
         _same_table(probe, initial_result)
         d = initial_result
     results = [d]
+    rmasks, imasks, pmasks = system.rmasks, system.imasks, system.pmasks
+    m = d.mask
     for c in ctxs[:-1]:
-        d = result_all(system, c | d)
-        results.append(d)
+        m = res_mask(c.mask | m, rmasks, imasks, pmasks)
+        results.append(SpeciesSet(table, m))
     return ProcessTrace(ctxs, tuple(results), mode)

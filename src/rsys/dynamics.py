@@ -12,19 +12,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from ._engine import Engine, submasks_ascending
-from .core import Reaction, ReactionSystem, SpeciesSet, SpeciesTable
-from .errors import BudgetError, RefusalError, RsysError, SpeciesMismatchError
+from .core import Reaction, ReactionSystem, SpeciesSet, SpeciesTable, _check_table
+from .errors import BudgetError, RefusalError, RsysError
 
 INPUT_SET_LIMIT = 20
 NODE_BUDGET_DEFAULT = 4096
 FULL_EXTENSION_LIMIT = 10
-
-
-def _check_table(sset: SpeciesSet, system: ReactionSystem, what: str) -> None:
-    if sset.table is not system.species and sset.table != system.species:
-        raise SpeciesMismatchError(
-            f"{what} uses a different species table than the system"
-        )
 
 
 @dataclass(frozen=True)
@@ -62,6 +55,8 @@ def orbit(
     (cannot happen when max_steps ≥ 2^|S|, but the default keeps runtime
     bounded on large species tables).
     """
+    if max_steps < 0:
+        raise RsysError(f"max steps must be at least 0, got {max_steps}")
     _check_table(start, system, "start state")
     _check_table(context, system, "context")
     eng = Engine(system)
@@ -137,6 +132,10 @@ def context_graph(
     node budget stops discovery the graph comes back `truncated` with all
     edges between the admitted nodes intact.
     """
+    if node_budget < 0:
+        raise RsysError(f"node budget must be at least 0, got {node_budget}")
+    if input_limit < 0:
+        raise RsysError(f"input limit must be at least 0, got {input_limit}")
     _check_table(input_set, system, "input set")
     seed_sets = tuple(seeds)
     if not seed_sets:

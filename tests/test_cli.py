@@ -1,10 +1,14 @@
 """Command-line behaviour: exit codes, output shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import golden_data
+import rsys
 from rsys.cli import main
 
 
@@ -409,11 +413,15 @@ class TestDecide:
         assert "controllable: true" in out
         assert "pairs checked: 131071" in out
 
-    def test_workers_do_not_change_output(self, capsys, chain_file):
-        argv = ["decide", chain_file, "--constraint", "max-cardinality=1"]
-        code1, out1, _ = run(capsys, *argv, "--workers", "1")
-        code4, out4, _ = run(capsys, *argv, "--workers", "4")
-        assert (code1, out1) == (code4, out4)
+    def test_workers_option_is_gone(self, capsys, chain_file):
+        code, _, err = run(
+            capsys,
+            "decide", chain_file, "--constraint", "max-cardinality=1",
+            "--workers", "2",
+        )
+        assert code == 64
+        assert "--workers" in err
+        assert "Traceback" not in err
 
     def test_target_projection(self, capsys, chain_file):
         code, out, _ = run(
@@ -595,3 +603,44 @@ class TestTopLevel:
     def test_missing_argument(self, capsys):
         code, _, err = run(capsys, "simulate", "oncogenic")
         assert code == 64
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("reach", "--node-budget"),
+            ("decide", "--node-budget"),
+            ("orbit", "--max-steps"),
+            ("graph", "--node-budget"),
+            ("graph", "--input-limit"),
+        ],
+    )
+    def test_negative_numbers_are_invalid_input(
+        self, capsys, tmp_path, chain_file, command, option
+    ):
+        query = write_query(
+            tmp_path,
+            source=["a"],
+            target=["c"],
+            constraint={"kind": "max-cardinality", "n": 1},
+        )
+        args = {
+            "reach": [query],
+            "decide": ["--constraint", "max-cardinality=1"],
+            "orbit": ["--context", "{a}", "--start", "{}"],
+            "graph": ["--input-set", "{a}", "--seeds", "{}"],
+        }[command]
+        code, _, err = run(capsys, command, chain_file, *args, option, "-1")
+        assert code == 2
+        assert "must be at least 0, got -1" in err
+
+    def test_import_starts_no_thread_pool_machinery(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rsys.__file__)))
+        probe = "import sys, rsys.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"

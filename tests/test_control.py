@@ -371,15 +371,6 @@ class TestDecideControllable:
         assert not verdict.decision
         assert verdict.counterexample is not None
 
-    def test_workers_do_not_change_the_verdict(self, t1, chain):
-        for system, constraint in (
-            (t1, AllowedSet(t1.species.empty_set)),
-            (chain, MaxCardinality(1)),
-        ):
-            solo = decide_controllable(system, constraint, workers=1)
-            multi = decide_controllable(system, constraint, workers=4)
-            assert solo == multi
-
 
 class TestDecideTargetControllable:
     def test_full_target_equals_plain_decision(self, t1, chain):
@@ -443,17 +434,6 @@ class TestDecideTargetControllable:
             system, table.set_of(["t"]), MaxCardinality(0)
         )
         assert verdict.decision
-
-    def test_workers_match_sequential(self, t1):
-        table = t1.species
-        for constraint in (MaxCardinality(1), AllowedSet(table.set_of(["a"]))):
-            solo = decide_target_controllable(
-                t1, table.set_of(["b", "c"]), constraint, workers=1
-            )
-            multi = decide_target_controllable(
-                t1, table.set_of(["b", "c"]), constraint, workers=3
-            )
-            assert solo == multi
 
 
 class TestMinimalN:

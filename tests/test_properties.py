@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from rsys._engine import Engine
 from rsys.control import (
     AllowedSet,
     ControlQuery,
@@ -110,9 +111,16 @@ class TestProcessSemantics:
     @relaxed
     def test_result_is_union_of_enabled_products(self, data, system):
         names = list(system.species.names)
+        table = system.species
         state = frozenset(data.draw(st.sets(st.sampled_from(names))))
-        got = names_of(result_all(system, system.species.set_of(state)))
-        assert got == oracles.res_oracle(plain_reactions(system), state)
+        reactions = plain_reactions(system)
+        expected = oracles.res_oracle(reactions, state)
+        assert names_of(result_all(system, table.set_of(state))) == expected
+        res = Engine(system, backend="pure").res(table.set_of(state).mask)
+        assert names_of(table.from_mask(res)) == expected
+        sensed = frozenset().union(*(r | i for r, i, _ in reactions))
+        assert names_of(system.resources) == sensed
+        assert oracles.res_oracle(reactions, state & sensed) == expected
 
 
 class TestSerialization:
