@@ -13,7 +13,7 @@ import os
 from typing import Optional
 
 from . import _kernel_py
-from .core import ReactionSystem, SpeciesSet
+from .core import ReactionSystem
 from .errors import RsysError
 
 try:
@@ -60,9 +60,6 @@ class Engine:
     """Mask-level view of one system, bound to a kernel backend."""
 
     __slots__ = (
-        "system",
-        "table",
-        "n",
         "rmasks",
         "imasks",
         "pmasks",
@@ -72,14 +69,11 @@ class Engine:
     )
 
     def __init__(self, system: ReactionSystem, backend: Optional[str] = None):
-        self.system = system
-        self.table = system.species
-        self.n = len(system.species)
         self.rmasks = system.rmasks
         self.imasks = system.imasks
         self.pmasks = system.pmasks
         self.resource_mask = system.resource_mask
-        self.kernel = _pick_kernel(self.n, backend)
+        self.kernel = _pick_kernel(len(system.species), backend)
         self._res_cache: dict[int, int] = {}
 
     @property
@@ -94,9 +88,6 @@ class Engine:
             cached = self.kernel.res_mask(key, self.rmasks, self.imasks, self.pmasks)
             self._res_cache[key] = cached
         return cached
-
-    def res_set(self, state: SpeciesSet) -> SpeciesSet:
-        return SpeciesSet(self.table, self.res(state.mask))
 
     def bfs_witness(
         self,

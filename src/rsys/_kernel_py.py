@@ -43,14 +43,11 @@ def bfs_witness(
     so the first goal hit is the shortest witness with the lexicographically
     least (start, context indices) path under that order. `depth_limit` < 0
     means unbounded. Returns (status, hit_state, context_index_path,
-    start_index, visited).
+    start_index, visited). A GOAL_FULL goal is the projected goal with
+    every species projected, so it ignores `t_mask`.
     """
-
-    def hits(w: int) -> bool:
-        if goal_kind == GOAL_FULL:
-            return w == goal_mask
-        return w & t_mask == goal_mask
-
+    if goal_kind == GOAL_FULL:
+        t_mask = -1
     # parent[w] = (previous state, context index); starts use index -1-k
     parent: dict[int, tuple[int, int]] = {}
     queue: deque[tuple[int, int]] = deque()
@@ -62,7 +59,7 @@ def bfs_witness(
         if len(parent) >= node_budget:
             return (BUDGET_STOP, 0, [], -1, len(parent))
         parent[w] = (w, -1 - k)
-        if hits(w):
+        if w & t_mask == goal_mask:
             return (FOUND, w, [], k, len(parent))
         if depth_limit == 0:
             truncated = True
@@ -80,7 +77,7 @@ def bfs_witness(
             if len(parent) >= node_budget:
                 return (BUDGET_STOP, 0, [], -1, len(parent))
             parent[w2] = (w, ci)
-            if hits(w2):
+            if w2 & t_mask == goal_mask:
                 path = [ci]
                 cur = w
                 while True:

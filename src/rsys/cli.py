@@ -37,14 +37,15 @@ from .control import (
     query_from_json,
 )
 from .core import SpeciesSet, SpeciesTable, run_process, validate_system
-from .dynamics import attractor_report, context_graph, orbit as orbit_of
-from .errors import (
-    BudgetError,
-    FormatError,
-    RefusalError,
-    RsysError,
-    SpeciesMismatchError,
+from .dynamics import (
+    INPUT_SET_LIMIT,
+    MAX_STEPS_DEFAULT,
+    NODE_BUDGET_DEFAULT,
+    attractor_report,
+    context_graph,
+    orbit as orbit_of,
 )
+from .errors import BudgetError, RsysError
 from .formats import (
     ModelDocument,
     bn_to_reactions,
@@ -195,13 +196,8 @@ def validate(model: str) -> int:
 @cli.command()
 @click.argument("model")
 @click.argument("contexts")
-@click.option("--initial", default=None, help="Initial result set D_0 (mode given).")
-@click.option(
-    "--initial-mode",
-    type=click.Choice(["context", "given"]),
-    default=None,
-    help="'context' starts from D_0 = {} (the default without --initial).",
-)
+@click.option("--initial", default=None,
+              help="Initial result set D_0 (mode given); omit it for D_0 = {}.")
 @click.option("--markers", default=None, help="Status markers 'Pro,uPro'; '' disables.")
 @click.option(
     "--format",
@@ -215,7 +211,6 @@ def simulate(
     model: str,
     contexts: str,
     initial: Optional[str],
-    initial_mode: Optional[str],
     markers: Optional[str],
     fmt: str,
     output: Optional[str],
@@ -224,8 +219,6 @@ def simulate(
     doc, corpus = _load_model(model)
     table = doc.system.species
     seq = _parse_contexts(contexts, table)
-    if initial is not None and initial_mode == "context":
-        raise click.UsageError("--initial conflicts with --initial-mode context")
     initial_set = None
     if initial is not None:
         initial_set = _parse_state(initial, table, corpus, "initial state")
@@ -239,7 +232,7 @@ def simulate(
 @click.argument("model")
 @click.option("--context", "context_spec", required=True, help="Constant context set.")
 @click.option("--start", "start_spec", required=True, help="Initial full state.")
-@click.option("--max-steps", type=int, default=100_000, show_default=True)
+@click.option("--max-steps", type=int, default=MAX_STEPS_DEFAULT, show_default=True)
 @click.option("--markers", default=None, help="Marker species 'Pro,uPro'; '' disables.")
 def orbit(
     model: str,
@@ -351,6 +344,27 @@ def decide(
     check_ts_equivalence: bool,
 ) -> int:
     """Decide (target) controllability, or scan for minimal constraints."""
+    scan = "--minimal-n" if minimal_n_flag else None
+    if minimal_i_spec is not None:
+        if scan is not None:
+            raise click.UsageError("--minimal-n conflicts with --minimal-I")
+        scan = "--minimal-I"
+    if scan is not None:
+        for flag, given in (
+            ("--constraint", constraint_spec is not None),
+            ("--check-ts-equivalence", check_ts_equivalence),
+            ("--proviso superset", proviso == "superset"),
+        ):
+            if given:
+                raise click.UsageError(f"{flag} conflicts with {scan}")
+    elif constraint_spec is None:
+        raise click.UsageError("--constraint is required without a minimal scan")
+    if check_ts_equivalence and targets_spec is not None:
+        raise click.UsageError("--check-ts-equivalence conflicts with --targets")
+    if proviso == "superset" and targets_spec is None and not check_ts_equivalence:
+        raise click.UsageError(
+            "--proviso superset needs --targets or --check-ts-equivalence"
+        )
     doc, corpus = _load_model(model)
     system = doc.system
     table = system.species
@@ -381,8 +395,6 @@ def decide(
             x, y = verdict.counterexample
             click.echo(f"counterexample: X={x!r} Y={y!r}")
 
-    if minimal_n_flag and minimal_i_spec is not None:
-        raise click.UsageError("--minimal-n conflicts with --minimal-I")
     if minimal_n_flag:
         report = minimal_n(
             system, targets=targets, frontier_limit=frontier_limit, **common
@@ -409,8 +421,6 @@ def decide(
             click.echo(f"drop {name}: {'dropped' if dropped else 'kept'}")
         click.echo(f"minimal I: {report.minimal!r}")
         return EXIT_OK
-    if constraint_spec is None:
-        raise click.UsageError("--constraint is required without a minimal scan")
     constraint = _parse_constraint(constraint_spec, table)
     if check_ts_equivalence:
         plain = decide_controllable(system, constraint, **common)
@@ -465,8 +475,9 @@ def import_bn(bn_file: str, no_blocking: bool, output: Optional[str]) -> int:
 @click.option("--seeds", "seed_specs", multiple=True, required=True,
               help="Seed state (repeatable).")
 @click.option("--dot", "dot_path", default=None, help="Write DOT here.")
-@click.option("--node-budget", type=int, default=4096, show_default=True)
-@click.option("--input-limit", type=int, default=20, show_default=True)
+@click.option("--node-budget", type=int, default=NODE_BUDGET_DEFAULT,
+              show_default=True)
+@click.option("--input-limit", type=int, default=INPUT_SET_LIMIT, show_default=True)
 def graph(
     model: str,
     input_spec: str,
@@ -541,10 +552,7 @@ def main(argv: Optional[list] = None) -> int:
     except BudgetError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_FALSE
-    except RefusalError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INVALID
-    except (FormatError, SpeciesMismatchError, RsysError) as exc:
+    except RsysError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INVALID
     except json.JSONDecodeError as exc:

@@ -25,7 +25,6 @@ from typing import Iterable, Optional, Sequence, Union
 from ._engine import (
     BUDGET_STOP,
     FOUND,
-    GOAL_FULL,
     GOAL_PROJECTED,
     Engine,
     submasks_ascending,
@@ -49,12 +48,16 @@ UNLIMITED = 1 << 62
 
 
 def _node_budget(node_budget: Optional[int]) -> int:
-    """The state cap passed to a kernel; None means unlimited."""
+    """The state cap passed to a kernel; None means unlimited.
+
+    Budgets are capped at UNLIMITED so they fit the compiled kernel's
+    64-bit counter; no search can visit that many states anyway.
+    """
     if node_budget is None:
         return UNLIMITED
     if node_budget < 0:
         raise RsysError(f"node budget must be at least 0, got {node_budget}")
-    return node_budget
+    return min(node_budget, UNLIMITED)
 
 
 class ContextConstraint:
@@ -332,11 +335,8 @@ def find_witness(
         _check_table(query.targets, system, "target set")
     table = system.species
     ctx_masks = _contexts_checked(system, query.constraint)
-    if query.targets is None:
-        goal_kind, goal_mask, t_mask = GOAL_FULL, query.target.mask, 0
-    else:
-        goal_kind = GOAL_PROJECTED
-        goal_mask, t_mask = query.target.mask, query.targets.mask
+    # A full-state goal is the projected goal with every species projected.
+    targets = table.full_set if query.targets is None else query.targets
     if query.initial_mode == "context" and not query.constraint.satisfied_by(
         query.source
     ):
@@ -344,7 +344,13 @@ def find_witness(
     eng = Engine(system)
     depth = -1 if query.depth_limit is None else query.depth_limit
     status, _, path, _, visited = eng.bfs_witness(
-        [query.source.mask], ctx_masks, goal_kind, goal_mask, t_mask, depth, budget
+        [query.source.mask],
+        ctx_masks,
+        GOAL_PROJECTED,
+        query.target.mask,
+        targets.mask,
+        depth,
+        budget,
     )
     if status == BUDGET_STOP:
         raise BudgetError(
@@ -385,14 +391,7 @@ def verify_witness(
     for c in seq:
         _check_table(c, system, "context")
     eng = Engine(system)
-    if query.targets is None:
-        def hit(w: int) -> bool:
-            return w == query.target.mask
-    else:
-        t_mask = query.targets.mask
-        def hit(w: int) -> bool:
-            return w & t_mask == query.target.mask
-
+    targets = system.species.full_set if query.targets is None else query.targets
     if query.initial_mode == "given":
         steering = seq
         w = query.source.mask
@@ -418,7 +417,7 @@ def verify_witness(
         w = c.mask | eng.res(w)
         states.append(w)
     for r, w in enumerate(states):
-        if hit(w):
+        if w & targets.mask == query.target.mask:
             if query.depth_limit is not None and r > query.depth_limit:
                 return VerifyResult(
                     False,
@@ -500,6 +499,12 @@ def _decide(
     node_budget: Optional[int],
 ) -> ControllabilityVerdict:
     budget = _node_budget(node_budget)
+    if species_limit < 0:
+        raise RsysError(f"species limit must be at least 0, got {species_limit}")
+    if frontier_limit < 0:
+        raise RsysError(
+            f"frontier limit must be at least 0, got {frontier_limit}"
+        )
     table = system.species
     if proviso not in ("projection", "superset"):
         raise RsysError(
@@ -512,7 +517,7 @@ def _decide(
     if isinstance(scope, Exhaustive) and n_targets > species_limit:
         raise RefusalError(
             f"exhaustive scope over {n_targets} target species checks up to "
-            f"4^{n_targets} pairs (default ceiling {species_limit}; pass "
+            f"4^{n_targets} pairs (ceiling {species_limit}; pass "
             "species_limit to override)"
         )
     if n_outside > frontier_limit:
@@ -654,13 +659,15 @@ def minimal_n(
     """Ascending scan n = 0, 1, …, |S|−1; the first true n is minimal
     because larger bounds only add contexts."""
     _node_budget(node_budget)
+    t = system.species.full_set if targets is None else targets
     verdicts: list[tuple[int, ControllabilityVerdict]] = []
     for n in range(len(system.species)):
-        verdict = _decide_dispatch(
+        verdict = decide_target_controllable(
             system,
+            t,
             MaxCardinality(n),
             scope,
-            targets,
+            "projection",
             species_limit,
             frontier_limit,
             node_budget,
@@ -702,13 +709,15 @@ def minimal_I(
     so the result is inclusion-minimal. It need not have minimum size.
     """
     _check_table(start, system, "allowed set")
+    t = system.species.full_set if targets is None else targets
 
     def probe(allowed: SpeciesSet) -> ControllabilityVerdict:
-        return _decide_dispatch(
+        return decide_target_controllable(
             system,
+            t,
             AllowedSet(allowed),
             scope,
-            targets,
+            "projection",
             species_limit,
             frontier_limit,
             node_budget,
@@ -728,27 +737,3 @@ def minimal_I(
         steps.append((name, verdict.decision, verdict))
     return MinimalSetReport(current, start_verdict, tuple(steps))
 
-
-def _decide_dispatch(
-    system: ReactionSystem,
-    constraint: ContextConstraint,
-    scope: Scope,
-    targets: Optional[SpeciesSet],
-    species_limit: int,
-    frontier_limit: int,
-    node_budget: Optional[int],
-) -> ControllabilityVerdict:
-    if targets is None:
-        return decide_controllable(
-            system, constraint, scope, species_limit, node_budget
-        )
-    return decide_target_controllable(
-        system,
-        targets,
-        constraint,
-        scope,
-        "projection",
-        species_limit,
-        frontier_limit,
-        node_budget,
-    )

@@ -1,8 +1,9 @@
 """Dynamics under a fixed context: orbits, context graphs, image queries,
 and nonce extensions.
 
-All state-to-state iteration goes through the selected kernel backend; the
-functions here accept and return species sets, never raw masks.
+`orbit` and `context_graph` iterate in Python through `Engine.res`, the
+memoized result map, not through a kernel search loop. The functions here
+accept and return species sets, never raw masks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import BudgetError, RefusalError, RsysError
 
 INPUT_SET_LIMIT = 20
 NODE_BUDGET_DEFAULT = 4096
+MAX_STEPS_DEFAULT = 100_000
 FULL_EXTENSION_LIMIT = 10
 
 
@@ -47,7 +49,7 @@ def orbit(
     system: ReactionSystem,
     start: SpeciesSet,
     context: SpeciesSet,
-    max_steps: int = 100_000,
+    max_steps: int = MAX_STEPS_DEFAULT,
 ) -> Orbit:
     """Iterate W ↦ context ∪ res(W) from `start` until a state repeats.
 
@@ -154,7 +156,6 @@ def context_graph(
     index: dict[int, int] = {}
     order: list[int] = []
     truncated = False
-    queue: list[int] = []
     for s in seed_sets:
         if s.mask not in index:
             if len(order) >= node_budget:
@@ -162,13 +163,12 @@ def context_graph(
                 break
             index[s.mask] = len(order)
             order.append(s.mask)
-            queue.append(s.mask)
+    # Sources are expanded in index order and submasks_ascending yields each
+    # source's contexts by (size, encoding), so the edges come out sorted.
     edges: list[tuple[int, int, int]] = []
     head = 0
-    while head < len(queue):
-        w = queue[head]
-        head += 1
-        d = eng.res(w)
+    while head < len(order):
+        d = eng.res(order[head])
         for extra in submasks_ascending(imask & ~d):
             succ = d | extra
             if succ not in index:
@@ -177,9 +177,8 @@ def context_graph(
                     continue
                 index[succ] = len(order)
                 order.append(succ)
-                queue.append(succ)
-            edges.append((index[w], succ & ~d, index[succ]))
-    edges.sort(key=lambda e: (e[0], bin(e[1]).count("1"), e[1], e[2]))
+            edges.append((head, extra, index[succ]))
+        head += 1
     return ContextGraph(
         input_set=input_set,
         seeds=seed_sets,

@@ -174,14 +174,15 @@ class TestSimulate:
         assert code == 0
         assert all(status == "" for status in csv_statuses(out))
 
-    def test_initial_conflicts_with_context_mode(self, capsys):
+    def test_initial_mode_option_is_gone(self, capsys):
         code, _, err = run(
             capsys,
             "simulate", "oncogenic", "{GF} x2",
-            "--initial", "S1", "--initial-mode", "context",
+            "--initial", "S1", "--initial-mode", "given",
         )
         assert code == 64
-        assert "error:" in err
+        assert "No such option" in err
+        assert "Traceback" not in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "trace.csv"
@@ -459,6 +460,48 @@ class TestDecide:
         assert code == 64
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--minimal-n", "--constraint", "max-cardinality=1"],
+            ["--minimal-I", "{a}", "--constraint", "max-cardinality=1"],
+            ["--minimal-n", "--check-ts-equivalence"],
+            ["--minimal-I", "{a}", "--check-ts-equivalence"],
+            ["--constraint", "max-cardinality=1", "--check-ts-equivalence",
+             "--targets", "{c}"],
+            ["--minimal-n", "--proviso", "superset"],
+            ["--minimal-I", "{a}", "--proviso", "superset"],
+            ["--constraint", "max-cardinality=1", "--proviso", "superset"],
+        ],
+    )
+    def test_ignored_option_combinations_are_usage_errors(
+        self, capsys, chain_file, args
+    ):
+        code, out, err = run(capsys, "decide", chain_file, *args)
+        assert code == 64
+        assert out == ""
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            (["--targets", "{c}"], "pairs checked:"),
+            (["--check-ts-equivalence"], "target T=S:"),
+        ],
+    )
+    def test_superset_proviso_runs_with_a_target_set(
+        self, capsys, chain_file, extra, expected
+    ):
+        code, out, err = run(
+            capsys,
+            "decide", chain_file, "--constraint", "max-cardinality=1",
+            "--proviso", "superset", *extra,
+        )
+        assert code in (0, 1)
+        assert expected in out
+        assert err == ""
+
     def test_constraint_required(self, capsys, chain_file):
         code, _, err = run(capsys, "decide", chain_file)
         assert code == 64
@@ -609,6 +652,8 @@ class TestTopLevel:
         [
             ("reach", "--node-budget"),
             ("decide", "--node-budget"),
+            ("decide", "--species-limit"),
+            ("decide-sampled", "--species-limit"),
             ("orbit", "--max-steps"),
             ("graph", "--node-budget"),
             ("graph", "--input-limit"),
@@ -623,13 +668,15 @@ class TestTopLevel:
             target=["c"],
             constraint={"kind": "max-cardinality", "n": 1},
         )
-        args = {
-            "reach": [query],
-            "decide": ["--constraint", "max-cardinality=1"],
-            "orbit": ["--context", "{a}", "--start", "{}"],
-            "graph": ["--input-set", "{a}", "--seeds", "{}"],
+        decide = ["decide", chain_file, "--constraint", "max-cardinality=1"]
+        argv = {
+            "reach": ["reach", chain_file, query],
+            "decide": decide,
+            "decide-sampled": decide + ["--sample", "4"],
+            "orbit": ["orbit", chain_file, "--context", "{a}", "--start", "{}"],
+            "graph": ["graph", chain_file, "--input-set", "{a}", "--seeds", "{}"],
         }[command]
-        code, _, err = run(capsys, command, chain_file, *args, option, "-1")
+        code, _, err = run(capsys, *argv, option, "-1")
         assert code == 2
         assert "must be at least 0, got -1" in err
 

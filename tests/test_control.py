@@ -222,6 +222,14 @@ class TestFindWitness:
             find_witness(system, q, node_budget=10)
         assert err.value.visited <= 10
 
+    def test_huge_node_budget_acts_as_no_budget(self, chain):
+        x, y = sets(chain, ["a"], ["c"])
+        q = ControlQuery(x, y, MaxCardinality(1))
+        huge = find_witness(chain, q, node_budget=10**30)
+        plain = find_witness(chain, q)
+        assert huge.contexts == plain.contexts
+        assert (huge.hit_index, huge.visited) == (plain.hit_index, plain.visited)
+
     def test_target_mode_projected_goal(self, t1):
         # T = {c}: end condition W ∩ {c} = {c}.
         table = t1.species
@@ -422,6 +430,18 @@ class TestDecideTargetControllable:
                 system.species.set_of(["s0"]),
                 MaxCardinality(0),
                 frontier_limit=3,
+            )
+
+    @pytest.mark.parametrize("scope", [Exhaustive(), Sampled(4)])
+    @pytest.mark.parametrize("limit", ["species_limit", "frontier_limit"])
+    def test_negative_limits_are_invalid(self, t1, scope, limit):
+        with pytest.raises(RsysError, match="must be at least 0, got -1"):
+            decide_target_controllable(
+                t1,
+                t1.species.set_of(["c"]),
+                MaxCardinality(1),
+                scope=scope,
+                **{limit: -1},
             )
 
     def test_start_frontier_is_existential(self):

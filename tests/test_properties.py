@@ -18,6 +18,7 @@ from rsys.control import (
 )
 from rsys.core import result_all, run_process
 from rsys.dynamics import (
+    context_graph,
     image_membership,
     nonce_extension,
     superset_image_membership,
@@ -268,6 +269,41 @@ class TestDecisions:
         assert plain.decision == projected.decision
         assert plain.counterexample == projected.counterexample
         assert plain.pairs_checked == projected.pairs_checked
+
+
+class TestContextGraph:
+    @given(
+        data=st.data(),
+        system=systems(),
+        budget=st.sampled_from([0, 1, 3, 10, 1 << 20]),
+    )
+    @relaxed
+    def test_edges_are_canonical_and_nodes_are_the_reachable_states(
+        self, data, system, budget
+    ):
+        table = system.species
+        names = list(table.names)
+        inputs = [n for n in names if n in data.draw(subsets(names))]
+        seeds = data.draw(st.lists(subsets(names), min_size=1, max_size=3))
+        g = context_graph(
+            system,
+            table.set_of(inputs),
+            [table.set_of(s) for s in seeds],
+            node_budget=budget,
+        )
+        keys = [(src, len(ctx), ctx.mask) for src, ctx, _ in g.edges]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        reactions = plain_reactions(system)
+        for src, ctx, dst in g.edges:
+            d = oracles.res_oracle(reactions, names_of(g.nodes[src]))
+            assert names_of(ctx) <= set(inputs) and not names_of(ctx) & d
+            assert names_of(g.nodes[dst]) == names_of(ctx) | d
+        if not g.truncated:
+            contexts = canonical_subsets(inputs)
+            reachable = set()
+            for s in seeds:
+                reachable |= oracles.reachable_states(reactions, contexts, s)
+            assert {names_of(node) for node in g.nodes} == reachable
 
 
 class TestImageMembership:
