@@ -315,7 +315,8 @@ def reach(model: str, query_file: str, node_budget: Optional[int], fmt: str) -> 
               help="Greedily shrink this allowed set to an inclusion-minimal one.")
 @click.option("--sample", type=int, default=None,
               help="Check only K sampled pairs instead of all of them.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=None,
+              help="Seed of the --sample draw (0 when omitted).")
 @click.option("--species-limit", type=int, default=None,
               help="Exhaustive-scan ceiling on |S| (or |T|).")
 @click.option("--node-budget", type=int, default=None, help="Per-search state cap.")
@@ -336,7 +337,7 @@ def decide(
     minimal_n_flag: bool,
     minimal_i_spec: Optional[str],
     sample: Optional[int],
-    seed: int,
+    seed: Optional[int],
     species_limit: Optional[int],
     node_budget: Optional[int],
     proviso: str,
@@ -359,6 +360,8 @@ def decide(
                 raise click.UsageError(f"{flag} conflicts with {scan}")
     elif constraint_spec is None:
         raise click.UsageError("--constraint is required without a minimal scan")
+    if seed is not None and sample is None:
+        raise click.UsageError("--seed needs --sample")
     if check_ts_equivalence and targets_spec is not None:
         raise click.UsageError("--check-ts-equivalence conflicts with --targets")
     if proviso == "superset" and targets_spec is None and not check_ts_equivalence:
@@ -368,7 +371,11 @@ def decide(
     doc, corpus = _load_model(model)
     system = doc.system
     table = system.species
-    scope = Sampled(sample, seed) if sample is not None else Exhaustive()
+    scope = (
+        Sampled(sample, 0 if seed is None else seed)
+        if sample is not None
+        else Exhaustive()
+    )
     if species_limit is None:
         species_limit = len(table) if force else SPECIES_LIMIT_DEFAULT
     frontier_limit = len(table) if force else FRONTIER_LIMIT_DEFAULT

@@ -468,22 +468,45 @@ def _scan_pairs(
     budget: int,
 ) -> tuple[int, Optional[tuple[int, int]]]:
     """Scan pairs in canonical order; return (pairs checked through the
-    decision point, first counterexample or None)."""
+    decision point, first counterexample or None).
+
+    A successor C ∪ res(W) depends only on res(W), so the states seen as
+    successors of a source's starts depend only on the set of the starts'
+    results: one closure serves every source with the same result set.
+    The node budget still caps each source's own closure, starts ∪
+    successors, exactly as if it had been computed afresh.
+    """
+    full = outside_subs == [0]
+    y_set = set(y_masks)
+    # start-result key -> (successor states, kept only while the budget
+    # could cut a later source's closure; end sets they reach)
+    closures: dict = {}
     checked = 0
     for x in x_masks:
         starts = [x | z for z in outside_subs]
-        _, successor_seen, truncated = eng.bfs_closure(starts, ctx_masks, budget)
+        key = eng.res(x) if full else frozenset(eng.res(w) for w in starts)
+        hit = closures.get(key)
+        if hit is None:
+            _, seen, truncated = eng.bfs_closure(starts, ctx_masks, budget)
+            reached = y_set & (seen if full else {w & t_mask for w in seen})
+            keep = seen if len(seen) + len(starts) > budget else None
+            closures[key] = (keep, reached)
+        else:
+            seen, reached = hit
+            truncated = (
+                seen is not None
+                and len(seen) + sum(w not in seen for w in starts) > budget
+            )
         if truncated:
             raise BudgetError(
                 "reachability closure stopped by the node budget",
                 visited=budget,
             )
-        observed = {w & t_mask for w in successor_seen}
         for y in y_masks:
             if y == x:
                 continue
             checked += 1
-            if y not in observed:
+            if y not in reached:
                 return checked, (x, y)
     return checked, None
 
@@ -497,7 +520,10 @@ def _decide(
     species_limit: int,
     frontier_limit: int,
     node_budget: Optional[int],
+    eng: Optional[Engine] = None,
 ) -> ControllabilityVerdict:
+    """The pair scan behind every decision; `eng` lets the probes of one
+    minimal scan share a result memo."""
     budget = _node_budget(node_budget)
     if species_limit < 0:
         raise RsysError(f"species limit must be at least 0, got {species_limit}")
@@ -527,7 +553,8 @@ def _decide(
             "find_witness instead, or raise frontier_limit"
         )
     ctx_masks = _contexts_checked(system, constraint)
-    eng = Engine(system)
+    if eng is None:
+        eng = Engine(system)
     outside_subs = submasks_ascending(outside)
 
     if isinstance(scope, Sampled):
@@ -536,6 +563,8 @@ def _decide(
         checked = 0
         for _ in range(scope.k):
             y = eng.res(rng.getrandbits(n)) & t_mask
+            if proviso == "superset":
+                y &= rng.getrandbits(n)
             x = rng.getrandbits(n) & t_mask
             while x == y and t_mask:
                 x = rng.getrandbits(n) & t_mask
@@ -640,6 +669,15 @@ def decide_target_controllable(
     )
 
 
+def _target_mask(system: ReactionSystem, targets: Optional[SpeciesSet]) -> int:
+    """The minimal scans' target set, checked once for all their probes;
+    None means every species."""
+    if targets is None:
+        return system.species.full_set.mask
+    _check_table(targets, system, "target set")
+    return targets.mask
+
+
 @dataclass(frozen=True)
 class MinimalNReport:
     """Smallest cardinality bound that decides true, with the probe trail."""
@@ -659,18 +697,20 @@ def minimal_n(
     """Ascending scan n = 0, 1, …, |S|−1; the first true n is minimal
     because larger bounds only add contexts."""
     _node_budget(node_budget)
-    t = system.species.full_set if targets is None else targets
+    t_mask = _target_mask(system, targets)
+    eng = Engine(system)
     verdicts: list[tuple[int, ControllabilityVerdict]] = []
     for n in range(len(system.species)):
-        verdict = decide_target_controllable(
+        verdict = _decide(
             system,
-            t,
+            t_mask,
             MaxCardinality(n),
             scope,
             "projection",
             species_limit,
             frontier_limit,
             node_budget,
+            eng,
         )
         verdicts.append((n, verdict))
         if verdict.decision:
@@ -709,18 +749,20 @@ def minimal_I(
     so the result is inclusion-minimal. It need not have minimum size.
     """
     _check_table(start, system, "allowed set")
-    t = system.species.full_set if targets is None else targets
+    t_mask = _target_mask(system, targets)
+    eng = Engine(system)
 
     def probe(allowed: SpeciesSet) -> ControllabilityVerdict:
-        return decide_target_controllable(
+        return _decide(
             system,
-            t,
+            t_mask,
             AllowedSet(allowed),
             scope,
             "projection",
             species_limit,
             frontier_limit,
             node_budget,
+            eng,
         )
 
     start_verdict = probe(start)

@@ -131,6 +131,60 @@ def controllable_oracle(
     return True, None
 
 
+def pair_scan_oracle(
+    reactions: list[Triple],
+    names: list[str],
+    targets: frozenset,
+    contexts: list[frozenset],
+    proviso: str = "projection",
+) -> tuple[bool, tuple[frozenset, frozenset] | None, int, list[int]]:
+    """Target-controllability by a canonical-order pair scan, one closure
+    per source and nothing shared between sources.
+
+    `names` lists the species in table order: bit k of a set's encoding
+    stands for names[k], and sets ascend by (size, encoding). Sources X
+    range over the subsets of `targets`; ends Y over the image's
+    projections onto `targets` ("projection") or over every subset of one
+    ("superset"). The closure of X is the union of `reachable_states` over
+    its completions X ∪ Z, Z ⊆ S ∖ T. Returns (decision, first
+    counterexample or None, pairs checked, closure size of every source
+    scanned, in scan order).
+    """
+
+    def encoding(s: frozenset) -> tuple[int, int]:
+        return len(s), sum(1 << names.index(n) for n in s)
+
+    def all_subsets(pool) -> list[frozenset]:
+        pool = sorted(pool)
+        return [
+            frozenset(c)
+            for k in range(len(pool) + 1)
+            for c in itertools.combinations(pool, k)
+        ]
+
+    image = image_oracle(reactions, frozenset(names))
+    ends = {v & targets for v in image}
+    if proviso == "superset":
+        ends = {sub for v in ends for sub in all_subsets(v)}
+    ends = sorted(ends, key=encoding)
+    completions = all_subsets(frozenset(names) - targets)
+    checked = 0
+    sizes: list[int] = []
+    for x in sorted(all_subsets(targets), key=encoding):
+        closure: set[frozenset] = set()
+        for z in completions:
+            closure |= reachable_states(reactions, contexts, x | z)
+        sizes.append(len(closure))
+        observed = {w & targets for w in closure}
+        for y in ends:
+            if y == x:
+                continue
+            checked += 1
+            if y not in observed:
+                return False, (x, y), checked, sizes
+    return True, None, checked, sizes
+
+
 def random_system(
     rng: random.Random, n_species: int, n_reactions: int
 ) -> tuple[list[str], list[Triple]]:

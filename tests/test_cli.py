@@ -472,6 +472,7 @@ class TestDecide:
             ["--minimal-n", "--proviso", "superset"],
             ["--minimal-I", "{a}", "--proviso", "superset"],
             ["--constraint", "max-cardinality=1", "--proviso", "superset"],
+            ["--constraint", "max-cardinality=1", "--seed", "5"],
         ],
     )
     def test_ignored_option_combinations_are_usage_errors(
@@ -500,6 +501,25 @@ class TestDecide:
         )
         assert code in (0, 1)
         assert expected in out
+        assert err == ""
+
+    def test_sampled_superset_draws_strict_subsets(self, capsys, tmp_path):
+        # res is always {p}, so the end Y = {} is admissible under the
+        # superset proviso but never reached; the draw must be able to pick it.
+        path = tmp_path / "p.rs.txt"
+        path.write_text("@name p\n@species p\nr1: {} | {} -> {p}\n")
+        code, out, err = run(
+            capsys,
+            "decide", str(path), "--constraint", "max-cardinality=0",
+            "--targets", "{p}", "--proviso", "superset",
+            "--sample", "20", "--seed", "0",
+        )
+        assert code == 1
+        assert out == (
+            "controllable: false\n"
+            "pairs checked: 1\n"
+            "counterexample: X={p} Y={}\n"
+        )
         assert err == ""
 
     def test_constraint_required(self, capsys, chain_file):

@@ -1,7 +1,10 @@
 """Constraints, witness search and verification, controllability decisions."""
 
+import random
+
 import pytest
 
+from rsys._engine import Engine
 from rsys.control import (
     AllowedSet,
     ControlQuery,
@@ -21,8 +24,8 @@ from rsys.control import (
 )
 from rsys.errors import BudgetError, RefusalError, RsysError
 
-from oracles import shortest_witness_len
-from util import make_system, names_of, plain_reactions
+from oracles import random_system, res_oracle, shortest_witness_len
+from util import canonical_subsets, make_system, names_of, plain_reactions
 
 # S = {a, b, c}, reactions ({a}, {b}, {c}) and ({b}, {}, {b}): species b
 # persists forever once present, so full controllability fails for every
@@ -454,6 +457,84 @@ class TestDecideTargetControllable:
             system, table.set_of(["t"]), MaxCardinality(0)
         )
         assert verdict.decision
+
+
+@pytest.fixture
+def closure_calls(monkeypatch):
+    """Count the kernel closures the decisions compute."""
+    calls = []
+    kernel_closure = Engine.bfs_closure
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return kernel_closure(self, *args)
+
+    monkeypatch.setattr(Engine, "bfs_closure", counting)
+    return calls
+
+
+class TestSharedClosures:
+    def test_one_closure_when_every_result_is_empty(self, closure_calls):
+        # No reactions: every source has the results {} and so one closure,
+        # where one closure per source would take 2^17.
+        names = [f"s{k}" for k in range(17)]
+        system = make_system(names, [])
+        verdict = decide_controllable(system, MaxCardinality(1), species_limit=17)
+        assert verdict.decision and verdict.pairs_checked == (1 << 17) - 1
+        assert len(closure_calls) == 1
+
+    def test_budget_caps_each_sources_own_closure(self, closure_calls):
+        # One shared closure, {} alone: source {} needs 1 state, but source
+        # {a} also holds itself, so its closure has 2.
+        system = make_system(["a", "b"], [])
+        with pytest.raises(BudgetError):
+            decide_controllable(system, MaxCardinality(0), node_budget=1)
+        assert len(closure_calls) == 1
+        verdict = decide_controllable(system, MaxCardinality(0), node_budget=2)
+        assert verdict.decision and verdict.pairs_checked == 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 10])
+    @pytest.mark.parametrize("n_targets", [2, 5])
+    def test_one_closure_per_start_result_set(self, closure_calls, seed, n_targets):
+        names, reactions = random_system(random.Random(seed), 5, 6)
+        system = make_system(names, reactions)
+        table = system.species
+        targets = names[:n_targets]
+        verdict = decide_target_controllable(
+            system, table.set_of(targets), MaxCardinality(1)
+        )
+        # The sources scanned, in canonical order up to the decision point.
+        sources = canonical_subsets(targets)
+        if verdict.counterexample is not None:
+            last = names_of(verdict.counterexample[0])
+            sources = sources[: sources.index(last) + 1]
+        completions = canonical_subsets(names[n_targets:])
+        keys = {
+            frozenset(res_oracle(reactions, x | z) for z in completions)
+            for x in sources
+        }
+        assert len(closure_calls) == len(keys)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda system: minimal_n(system),
+        lambda system: minimal_I(system, system.species.full_set),
+    ],
+    ids=["minimal_n", "minimal_I"],
+)
+def test_minimal_scan_probes_share_one_engine(monkeypatch, chain, scan):
+    builds = []
+    build = Engine.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "__init__", counting)
+    scan(chain)
+    assert len(builds) == 1
 
 
 class TestMinimalN:

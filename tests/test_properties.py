@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from rsys.control import (
     verify_witness,
 )
 from rsys.core import result_all, run_process
+from rsys.errors import BudgetError
 from rsys.dynamics import (
     context_graph,
     image_membership,
@@ -269,6 +271,63 @@ class TestDecisions:
         assert plain.decision == projected.decision
         assert plain.counterexample == projected.counterexample
         assert plain.pairs_checked == projected.pairs_checked
+
+    @given(
+        data=st.data(),
+        system=systems(max_species=4, max_reactions=4),
+        proviso=st.sampled_from(["projection", "superset"]),
+    )
+    @fewer
+    def test_shared_closures_match_one_closure_per_source(
+        self, data, system, proviso
+    ):
+        table = system.species
+        names = list(table.names)
+        if data.draw(st.booleans()):
+            targets = frozenset(names)
+        else:
+            targets = frozenset(
+                data.draw(st.sets(st.sampled_from(names), min_size=1))
+            )
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(0, len(names) - 1))
+            constraint = MaxCardinality(n)
+            allowed = [s for s in canonical_subsets(names) if len(s) <= n]
+        else:
+            chosen = sorted(data.draw(st.sets(st.sampled_from(names))))
+            constraint = AllowedSet(table.set_of(chosen))
+            allowed = canonical_subsets(chosen)
+        decision, cex, checked, sizes = oracles.pair_scan_oracle(
+            plain_reactions(system), names, targets, allowed, proviso
+        )
+
+        def decide(budget):
+            if targets == frozenset(names) and proviso == "projection":
+                return decide_controllable(system, constraint, node_budget=budget)
+            return decide_target_controllable(
+                system,
+                table.set_of(targets),
+                constraint,
+                proviso=proviso,
+                node_budget=budget,
+            )
+
+        # Budgets around every scanned closure size, the largest (k) included.
+        edges = sorted({b for k in sizes for b in (k - 1, k, k + 1)})
+        for budget in [None] + edges:
+            if budget is not None and max(sizes) > budget:
+                with pytest.raises(BudgetError):
+                    decide(budget)
+                continue
+            verdict = decide(budget)
+            got = verdict.counterexample
+            if got is not None:
+                got = (names_of(got[0]), names_of(got[1]))
+            assert (verdict.decision, got, verdict.pairs_checked) == (
+                decision,
+                cex,
+                checked,
+            )
 
 
 class TestContextGraph:
