@@ -1,7 +1,10 @@
 """Pure-Python search kernel over int bit masks.
 
-Mirrors the compiled kernel's API exactly; works for any species count
-because Python ints are unbounded. Status codes for bfs_witness:
+Mirrors the compiled kernel's API and outputs exactly; works for any
+species count because Python ints are unbounded. The searches expand each
+distinct result value once and evaluate successors' results from one
+`core.res_split` per expanded result, where the compiled kernel expands
+every state with a full evaluation. Status codes for bfs_witness:
 0 = goal found, 1 = frontier exhausted (definitive absence),
 2 = stopped by the depth limit, 3 = stopped by the node budget.
 """
@@ -12,7 +15,7 @@ from collections import deque
 
 # res_mask belongs to the kernel API (Engine.res calls kernel.res_mask); the
 # searches below look it up as a module global.
-from .core import res_mask
+from .core import res_mask, res_split
 
 BACKEND = "pure"
 
@@ -45,12 +48,24 @@ def bfs_witness(
     means unbounded. Returns (status, hit_state, context_index_path,
     start_index, visited). A GOAL_FULL goal is the projected goal with
     every species projected, so it ignores `t_mask`.
+
+    A state's successors depend only on its result d, so each distinct d is
+    expanded once: an earlier state with the same d already inserted every
+    successor, with the same parents, budget checks and depth marks. A
+    queued state carries its parent's `res_split` and its own context, and
+    its result is evaluated from them only when it is popped.
     """
     if goal_kind == GOAL_FULL:
         t_mask = -1
+    union = 0
+    for c in contexts:
+        union |= c
     # parent[w] = (previous state, context index); starts use index -1-k
     parent: dict[int, tuple[int, int]] = {}
-    queue: deque[tuple[int, int]] = deque()
+    # (state, depth, context, base, rest): res(state) = base plus the
+    # products of the rest entries that context enables
+    queue: deque[tuple[int, int, int, int, tuple]] = deque()
+    expanded: set[int] = set()
     truncated = False
 
     for k, w in enumerate(starts):
@@ -64,11 +79,17 @@ def bfs_witness(
         if depth_limit == 0:
             truncated = True
         else:
-            queue.append((w, 0))
+            queue.append((w, 0, 0, res_mask(w, rmasks, imasks, pmasks), ()))
 
     while queue:
-        w, depth = queue.popleft()
-        d = res_mask(w, rmasks, imasks, pmasks)
+        w, depth, c, d, rest = queue.popleft()
+        for r, i, p in rest:
+            if c & r == r and not c & i:
+                d |= p
+        if d in expanded:
+            continue
+        expanded.add(d)
+        base, rest = res_split(d, union, rmasks, imasks, pmasks)
         child_depth = depth + 1
         for ci, c in enumerate(contexts):
             w2 = c | d
@@ -89,7 +110,7 @@ def bfs_witness(
             if child_depth == depth_limit:
                 truncated = True
             else:
-                queue.append((w2, child_depth))
+                queue.append((w2, child_depth, c, base, rest))
 
     return (DEPTH_LIMITED if truncated else EXHAUSTED, 0, [], -1, len(parent))
 
@@ -107,11 +128,20 @@ def bfs_closure(
     Returns (all states in discovery order, states seen as a successor of
     something, truncated flag). A truncated closure may be missing states
     and successor marks.
+
+    The queue holds results, not states: each distinct result is queued and
+    expanded once, in the order its first state was discovered, which is
+    the order a state-by-state search would expand it in. A new state's
+    result is evaluated from its parent's `res_split` when it is inserted.
     """
+    union = 0
+    for c in contexts:
+        union |= c
     seen: set[int] = set()
     order: list[int] = []
     successor_seen: set[int] = set()
     queue: deque[int] = deque()
+    queued: set[int] = set()
     for w in starts:
         if w in seen:
             continue
@@ -119,10 +149,13 @@ def bfs_closure(
             return (order, successor_seen, True)
         seen.add(w)
         order.append(w)
-        queue.append(w)
-    while queue:
-        w = queue.popleft()
         d = res_mask(w, rmasks, imasks, pmasks)
+        if d not in queued:
+            queued.add(d)
+            queue.append(d)
+    while queue:
+        d = queue.popleft()
+        base, rest = res_split(d, union, rmasks, imasks, pmasks)
         for c in contexts:
             w2 = c | d
             successor_seen.add(w2)
@@ -132,5 +165,11 @@ def bfs_closure(
                 return (order, successor_seen, True)
             seen.add(w2)
             order.append(w2)
-            queue.append(w2)
+            d2 = base
+            for r, i, p in rest:
+                if c & r == r and not c & i:
+                    d2 |= p
+            if d2 not in queued:
+                queued.add(d2)
+                queue.append(d2)
     return (order, successor_seen, False)

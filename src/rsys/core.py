@@ -437,6 +437,35 @@ def res_mask(
     return out
 
 
+def res_split(
+    d: int,
+    union: int,
+    rmasks: tuple[int, ...],
+    imasks: tuple[int, ...],
+    pmasks: tuple[int, ...],
+) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """Split the reactions once for every result res(c | d) with c ⊆ union.
+
+    Returns (base, rest). `base` holds the products of the reactions enabled
+    in every c | d; `rest` holds (reactants ∖ d, inhibitors, products) of the
+    reactions that some c may enable. Reactions that no c | d enables are
+    dropped. Then res(c | d) is `base` joined with the products of every
+    `rest` entry whose reactants lie in c and whose inhibitors miss c.
+    """
+    reach = d | union
+    base = 0
+    rest = []
+    for r, i, p in zip(rmasks, imasks, pmasks):
+        if i & d or r & ~reach:
+            continue
+        need = r & ~d
+        if need or i & union:
+            rest.append((need, i, p))
+        else:
+            base |= p
+    return base, tuple(rest)
+
+
 def result_all(system: ReactionSystem, state: SpeciesSet) -> SpeciesSet:
     """Union of products of all reactions enabled in `state`."""
     probe = SpeciesSet(system.species, 0)

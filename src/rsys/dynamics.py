@@ -1,9 +1,9 @@
 """Dynamics under a fixed context: orbits, context graphs, image queries,
 and nonce extensions.
 
-`orbit` and `context_graph` iterate in Python through `Engine.res`, the
-memoized result map, not through a kernel search loop. The functions here
-accept and return species sets, never raw masks.
+`orbit` iterates in Python through `Engine.res`, the memoized result map,
+and `context_graph` through `core.res_split`, not through a kernel search
+loop. The functions here accept and return species sets, never raw masks.
 """
 
 from __future__ import annotations
@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from ._engine import Engine, submasks_ascending
-from .core import Reaction, ReactionSystem, SpeciesSet, SpeciesTable, _check_table
+from .core import (
+    Reaction,
+    ReactionSystem,
+    SpeciesSet,
+    SpeciesTable,
+    _check_table,
+    res_mask,
+    res_split,
+)
 from .errors import BudgetError, RefusalError, RsysError
 
 INPUT_SET_LIMIT = 20
@@ -133,6 +141,10 @@ def context_graph(
     2^|input_set| ways; raise the limit explicitly to go bigger). When the
     node budget stops discovery the graph comes back `truncated` with all
     edges between the admitted nodes intact.
+
+    Each distinct result d is expanded once, with one `res_split` that
+    gives the results of all its new successors; later nodes with result d
+    copy its out-edges. Edges with equal labels share one SpeciesSet.
     """
     if node_budget < 0:
         raise RsysError(f"node budget must be at least 0, got {node_budget}")
@@ -150,11 +162,12 @@ def context_graph(
             f"2^{len(input_set)} ways (limit {input_limit}; pass a larger "
             "input_limit to proceed anyway)"
         )
-    eng = Engine(system)
+    rmasks, imasks, pmasks = system.rmasks, system.imasks, system.pmasks
     table = system.species
     imask = input_set.mask
     index: dict[int, int] = {}
     order: list[int] = []
+    results: list[int] = []
     truncated = False
     for s in seed_sets:
         if s.mask not in index:
@@ -163,29 +176,44 @@ def context_graph(
                 break
             index[s.mask] = len(order)
             order.append(s.mask)
+            results.append(res_mask(s.mask, rmasks, imasks, pmasks))
     # Sources are expanded in index order and submasks_ascending yields each
     # source's contexts by (size, encoding), so the edges come out sorted.
-    edges: list[tuple[int, int, int]] = []
-    head = 0
-    while head < len(order):
-        d = eng.res(order[head])
-        for extra in submasks_ascending(imask & ~d):
-            succ = d | extra
-            if succ not in index:
-                if len(order) >= node_budget:
-                    truncated = True
-                    continue
-                index[succ] = len(order)
-                order.append(succ)
-            edges.append((head, extra, index[succ]))
-        head += 1
+    # A node's out-edges depend only on its result d. Once a later node
+    # repeats a d, every successor of d is indexed or the budget is full,
+    # so copying the first node's out-edges gives the same edges.
+    out_edges: dict[int, list[tuple[SpeciesSet, int]]] = {}
+    labels: dict[int, SpeciesSet] = {}
+    edges: list[tuple[int, SpeciesSet, int]] = []
+    for head, d in enumerate(results):  # results grows as nodes are found
+        outs = out_edges.get(d)
+        if outs is None:
+            outs = out_edges[d] = []
+            base, rest = res_split(d, imask, rmasks, imasks, pmasks)
+            for extra in submasks_ascending(imask & ~d):
+                succ = d | extra
+                dst = index.get(succ)
+                if dst is None:
+                    if len(order) >= node_budget:
+                        truncated = True
+                        continue
+                    dst = index[succ] = len(order)
+                    order.append(succ)
+                    d2 = base
+                    for r, i, p in rest:
+                        if extra & r == r and not extra & i:
+                            d2 |= p
+                    results.append(d2)
+                label = labels.get(extra)
+                if label is None:
+                    label = labels[extra] = table.from_mask(extra)
+                outs.append((label, dst))
+        edges.extend([(head, label, dst) for label, dst in outs])
     return ContextGraph(
         input_set=input_set,
         seeds=seed_sets,
         nodes=tuple(table.from_mask(m) for m in order),
-        edges=tuple(
-            (src, table.from_mask(ctx), dst) for src, ctx, dst in edges
-        ),
+        edges=tuple(edges),
         truncated=truncated,
     )
 

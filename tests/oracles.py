@@ -109,6 +109,142 @@ def reachable_states(
     return seen
 
 
+def _res_mask(state: int, rmasks, imasks, pmasks) -> int:
+    """res over bit masks: union of products of the reactions enabled."""
+    out = 0
+    for r, i, p in zip(rmasks, imasks, pmasks):
+        if state & r == r and state & i == 0:
+            out |= p
+    return out
+
+
+def bfs_witness_oracle(
+    starts, contexts, rmasks, imasks, pmasks,
+    goal_kind, goal_mask, t_mask, depth_limit, node_budget,
+):
+    """The search kernel's witness BFS over full states, one `res`
+    evaluation per expanded state, nothing shared between states with the
+    same result. Same arguments and return value as `_kernel_py.bfs_witness`
+    (goal kind 0 is a full-state goal; statuses 0-3 are found, exhausted,
+    depth-limited, budget stop)."""
+    res_mask = _res_mask
+    if goal_kind == 0:
+        t_mask = -1
+    # parent[w] = (previous state, context index); starts use index -1-k
+    parent: dict[int, tuple[int, int]] = {}
+    queue: deque[tuple[int, int]] = deque()
+    truncated = False
+
+    for k, w in enumerate(starts):
+        if w in parent:
+            continue
+        if len(parent) >= node_budget:
+            return (3, 0, [], -1, len(parent))
+        parent[w] = (w, -1 - k)
+        if w & t_mask == goal_mask:
+            return (0, w, [], k, len(parent))
+        if depth_limit == 0:
+            truncated = True
+        else:
+            queue.append((w, 0))
+
+    while queue:
+        w, depth = queue.popleft()
+        d = res_mask(w, rmasks, imasks, pmasks)
+        child_depth = depth + 1
+        for ci, c in enumerate(contexts):
+            w2 = c | d
+            if w2 in parent:
+                continue
+            if len(parent) >= node_budget:
+                return (3, 0, [], -1, len(parent))
+            parent[w2] = (w, ci)
+            if w2 & t_mask == goal_mask:
+                path = [ci]
+                cur = w
+                while True:
+                    prev, pci = parent[cur]
+                    if pci < 0:
+                        return (0, w2, path[::-1], -1 - pci, len(parent))
+                    path.append(pci)
+                    cur = prev
+            if child_depth == depth_limit:
+                truncated = True
+            else:
+                queue.append((w2, child_depth))
+
+    return (2 if truncated else 1, 0, [], -1, len(parent))
+
+
+def bfs_closure_oracle(starts, contexts, rmasks, imasks, pmasks, node_budget):
+    """The search kernel's closure BFS over full states, one `res`
+    evaluation per state. Same arguments and return value as
+    `_kernel_py.bfs_closure`."""
+    res_mask = _res_mask
+    seen: set[int] = set()
+    order: list[int] = []
+    successor_seen: set[int] = set()
+    queue: deque[int] = deque()
+    for w in starts:
+        if w in seen:
+            continue
+        if len(seen) >= node_budget:
+            return (order, successor_seen, True)
+        seen.add(w)
+        order.append(w)
+        queue.append(w)
+    while queue:
+        w = queue.popleft()
+        d = res_mask(w, rmasks, imasks, pmasks)
+        for c in contexts:
+            w2 = c | d
+            successor_seen.add(w2)
+            if w2 in seen:
+                continue
+            if len(seen) >= node_budget:
+                return (order, successor_seen, True)
+            seen.add(w2)
+            order.append(w2)
+            queue.append(w2)
+    return (order, successor_seen, False)
+
+
+def context_graph_oracle(rmasks, imasks, pmasks, imask, seed_masks, node_budget):
+    """The context graph's BFS over masks, one `res` evaluation and one
+    context enumeration per node. Returns (node masks in index order,
+    (source, context mask, target) edges, truncated flag)."""
+    index: dict[int, int] = {}
+    order: list[int] = []
+    truncated = False
+    for s in seed_masks:
+        if s not in index:
+            if len(order) >= node_budget:
+                truncated = True
+                break
+            index[s] = len(order)
+            order.append(s)
+    edges: list[tuple[int, int, int]] = []
+    head = 0
+    while head < len(order):
+        d = _res_mask(order[head], rmasks, imasks, pmasks)
+        free = imask & ~d
+        extras = sorted(
+            (m for m in range(free + 1) if m & ~free == 0),
+            key=lambda m: (m.bit_count(), m),
+        )
+        for extra in extras:
+            succ = d | extra
+            if succ not in index:
+                if len(order) >= node_budget:
+                    truncated = True
+                    continue
+                index[succ] = len(order)
+                order.append(succ)
+            edges.append((head, extra, index[succ]))
+        head += 1
+    return order, edges, truncated
+
+
 def controllable_oracle(
     reactions: list[Triple],
     species: frozenset,

@@ -1,9 +1,10 @@
-"""The pure and compiled kernels must agree on every observable output."""
+"""Both kernels must agree with the reference searches on every output."""
 
 import random
 
 import pytest
 
+import oracles
 from rsys import RsysError
 from rsys._engine import (
     BUDGET_STOP,
@@ -17,6 +18,7 @@ from rsys._engine import (
     compiled_available,
     submasks_ascending,
 )
+from rsys.control import AllowedSet, MaxCardinality
 from util import make_system
 
 needs_compiled = pytest.mark.skipif(
@@ -125,8 +127,41 @@ class TestResMask:
             assert pure.res(state) == fast.res(state)
 
 
-@needs_compiled
+BACKENDS = ["pure", pytest.param("compiled", marks=needs_compiled)]
+UNBOUNDED = 1 << 62
+
+
+def witness_oracle(system, starts, contexts, *goal_depth_budget):
+    return oracles.bfs_witness_oracle(
+        starts, contexts, system.rmasks, system.imasks, system.pmasks,
+        *goal_depth_budget,
+    )
+
+
+def closure_oracle(system, starts, contexts, budget):
+    return oracles.bfs_closure_oracle(
+        starts, contexts, system.rmasks, system.imasks, system.pmasks, budget
+    )
+
+
+def constraint_contexts(rng, system):
+    """Context lists of both constraint kinds: an allowed set and a
+    cardinality bound."""
+    table = system.species
+    allowed = AllowedSet(table.from_mask(rng.getrandbits(len(table))))
+    bounded = MaxCardinality(rng.randint(0, 2))
+    return [allowed.context_masks(table), bounded.context_masks(table)]
+
+
+def budgets_around(k):
+    """Budgets 0, 1 and k-1, k, k+1 around a visit count k."""
+    return sorted({b for b in (0, 1, k - 1, k, k + 1) if b >= 0})
+
+
 class TestSearchAgreement:
+    """Each kernel against the full-state search loops in `oracles`, which
+    evaluate res once per state and share nothing between states."""
+
     def queries(self, rng, n):
         universe = rng.getrandbits(n) or 1
         contexts = submasks_ascending(universe)
@@ -141,42 +176,78 @@ class TestSearchAgreement:
         budget = rng.choice([1, 7, 1 << 40])
         return starts, contexts, goal_kind, goal, t_mask, depth, budget
 
-    def test_bfs_witness_matches_everywhere(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bfs_witness_matches_everywhere(self, backend):
         rng = random.Random(21)
         for _ in range(120):
             system = random_system(rng, n_species=5)
-            pure = Engine(system, backend="pure")
-            fast = Engine(system, backend="compiled")
+            engine = Engine(system, backend=backend)
             args = self.queries(rng, 5)
-            assert pure.bfs_witness(*args) == fast.bfs_witness(*args)
+            assert engine.bfs_witness(*args) == witness_oracle(system, *args)
 
-    def test_all_statuses_reached_and_agree(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_all_statuses_reached_and_agree(self, backend):
         rng = random.Random(22)
         seen = set()
         for _ in range(300):
             system = random_system(rng, n_species=4)
-            pure = Engine(system, backend="pure")
-            fast = Engine(system, backend="compiled")
+            engine = Engine(system, backend=backend)
             args = self.queries(rng, 4)
-            out = pure.bfs_witness(*args)
-            assert out == fast.bfs_witness(*args)
+            out = engine.bfs_witness(*args)
+            assert out == witness_oracle(system, *args)
             seen.add(out[0])
         assert {FOUND, EXHAUSTED, DEPTH_LIMITED, BUDGET_STOP} <= seen
 
-    def test_bfs_closure_matches(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_witness_budgets_around_the_visit_count(self, backend):
+        rng = random.Random(25)
+        for _ in range(40):
+            n = rng.randint(4, 6)
+            system = random_system(rng, n_species=n, n_reactions=rng.randint(2, 8))
+            engine = Engine(system, backend=backend)
+            for contexts in constraint_contexts(rng, system):
+                starts = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+                goal_kind = rng.choice([GOAL_FULL, GOAL_PROJECTED])
+                t_mask = rng.getrandbits(n)
+                goal = rng.getrandbits(n) & (t_mask if goal_kind else -1)
+                for depth in (-1, 0, 1, 2):
+                    args = (starts, contexts, goal_kind, goal, t_mask, depth)
+                    k = witness_oracle(system, *args, UNBOUNDED)[4]
+                    for budget in budgets_around(k) + [UNBOUNDED]:
+                        assert engine.bfs_witness(*args, budget) == witness_oracle(
+                            system, *args, budget
+                        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bfs_closure_matches(self, backend):
         rng = random.Random(23)
         for _ in range(60):
             system = random_system(rng, n_species=5)
-            pure = Engine(system, backend="pure")
-            fast = Engine(system, backend="compiled")
+            engine = Engine(system, backend=backend)
             universe = rng.getrandbits(5)
             contexts = submasks_ascending(universe)
             starts = [rng.getrandbits(5)]
             budget = rng.choice([2, 1 << 40])
-            assert pure.bfs_closure(starts, contexts, budget) == fast.bfs_closure(
-                starts, contexts, budget
+            assert engine.bfs_closure(starts, contexts, budget) == closure_oracle(
+                system, starts, contexts, budget
             )
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_closure_budgets_around_the_state_count(self, backend):
+        rng = random.Random(26)
+        for _ in range(60):
+            n = rng.randint(4, 6)
+            system = random_system(rng, n_species=n, n_reactions=rng.randint(2, 8))
+            engine = Engine(system, backend=backend)
+            for contexts in constraint_contexts(rng, system):
+                starts = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+                k = len(closure_oracle(system, starts, contexts, UNBOUNDED)[0])
+                for budget in budgets_around(k) + [UNBOUNDED]:
+                    assert engine.bfs_closure(starts, contexts, budget) == (
+                        closure_oracle(system, starts, contexts, budget)
+                    )
+
+    @needs_compiled
     def test_image_matches(self):
         rng = random.Random(24)
         for _ in range(40):
@@ -185,18 +256,18 @@ class TestSearchAgreement:
             fast = Engine(system, backend="compiled")
             assert pure.image() == fast.image()
 
-    def test_budget_stop_reports_same_visit_count(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_budget_stop_reports_same_visit_count(self, backend):
         system = make_system(
             [f"s{i}" for i in range(6)],
             [({"s0"}, set(), {"s1"}), ({"s1"}, set(), {"s2"})],
         )
         contexts = submasks_ascending((1 << 6) - 1)
         args = ([0], contexts, GOAL_FULL, (1 << 6) - 1, 0, -1, 17)
-        pure = Engine(system, backend="pure").bfs_witness(*args)
-        fast = Engine(system, backend="compiled").bfs_witness(*args)
-        assert pure == fast
-        assert pure[0] == BUDGET_STOP
-        assert pure[4] <= 17
+        out = Engine(system, backend=backend).bfs_witness(*args)
+        assert out == witness_oracle(system, *args)
+        assert out[0] == BUDGET_STOP
+        assert out[4] <= 17
 
 
 class TestSubmaskOrder:

@@ -17,7 +17,7 @@ from rsys.control import (
     find_witness,
     verify_witness,
 )
-from rsys.core import result_all, run_process
+from rsys.core import res_split, result_all, run_process
 from rsys.errors import BudgetError
 from rsys.dynamics import (
     context_graph,
@@ -124,6 +124,34 @@ class TestProcessSemantics:
         sensed = frozenset().union(*(r | i for r, i, _ in reactions))
         assert names_of(system.resources) == sensed
         assert oracles.res_oracle(reactions, state & sensed) == expected
+
+
+    @given(data=st.data(), system=systems(max_reactions=7))
+    @relaxed
+    def test_split_result_is_the_result_of_context_and_split_set(
+        self, data, system
+    ):
+        table = system.species
+        names = list(table.names)
+        d = table.set_of(data.draw(subsets(names)))
+        contexts = [
+            table.set_of(c)
+            for c in data.draw(st.lists(subsets(names), min_size=1, max_size=6))
+        ]
+        union = 0
+        for c in contexts:
+            union |= c.mask
+        base, rest = res_split(
+            d.mask, union, system.rmasks, system.imasks, system.pmasks
+        )
+        reactions = plain_reactions(system)
+        for c in contexts:
+            got = base
+            for r, i, p in rest:
+                if c.mask & r == r and not c.mask & i:
+                    got |= p
+            expected = oracles.res_oracle(reactions, names_of(c | d))
+            assert names_of(table.from_mask(got)) == expected
 
 
 class TestSerialization:
@@ -363,6 +391,35 @@ class TestContextGraph:
             for s in seeds:
                 reachable |= oracles.reachable_states(reactions, contexts, s)
             assert {names_of(node) for node in g.nodes} == reachable
+
+
+    @given(data=st.data(), system=systems(max_reactions=7))
+    @relaxed
+    def test_matches_the_reference_loop_at_every_budget(self, data, system):
+        table = system.species
+        names = list(table.names)
+        input_set = table.set_of(data.draw(subsets(names)))
+        seeds = [
+            table.set_of(s)
+            for s in data.draw(st.lists(subsets(names), min_size=1, max_size=3))
+        ]
+
+        def reference(budget):
+            return oracles.context_graph_oracle(
+                system.rmasks, system.imasks, system.pmasks,
+                input_set.mask, [s.mask for s in seeds], budget,
+            )
+
+        k = len(reference(1 << 20)[0])
+        for budget in sorted({b for b in (0, 1, 3, k - 1, k) if b >= 0}):
+            g = context_graph(system, input_set, seeds, node_budget=budget)
+            nodes, edges, truncated = reference(budget)
+            assert [w.mask for w in g.nodes] == nodes
+            assert [(src, ctx.mask, dst) for src, ctx, dst in g.edges] == edges
+            assert g.truncated == truncated
+            for _, ctx, _ in g.edges:
+                label = table.from_mask(ctx.mask)
+                assert ctx == label and repr(ctx) == repr(label)
 
 
 class TestImageMembership:
