@@ -1,28 +1,19 @@
-"""Build hook: compile the optional C++ kernel, fall back to pure Python.
+"""Build hook: compile the optional C++ kernel.
 
 The package works without the extension (the pure kernel is always
-installed); set RSYS_SKIP_EXT=1 to skip compilation explicitly.
+installed), so a failed compile leaves a pure-Python install.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-
-def extensions():
-    if os.environ.get("RSYS_SKIP_EXT") == "1":
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    ext = Extension(
-        "rsys._kernel_c",
-        sources=["src/rsys/_kernel_c.pyx"],
-        language="c++",
-        extra_compile_args=["-O3", "-std=c++17"],
-    )
-    return cythonize([ext], language_level=3)
-
-
-setup(ext_modules=extensions())
+setup(
+    ext_modules=[
+        Extension(
+            "rsys._kernel_c",
+            sources=["src/rsys/_kernel_c.cpp"],
+            language="c++",
+            extra_compile_args=["-O3", "-std=c++17"],
+            optional=True,
+        )
+    ]
+)

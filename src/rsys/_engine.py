@@ -1,7 +1,9 @@
 """Mask-level engine: backend selection, memoized results, closures.
 
 The engine reads the mask tuples a ReactionSystem builds once, memoizes
-results for the life of one call, and routes hot loops to a kernel.
+results for the life of one call, and routes hot loops to a kernel: the
+pure `_kernel_py`, or `_kernel_c`, a hand-written C++ extension with the
+same contract that `setup.py` builds when a C++ compiler is present.
 Backend choice: an explicit argument wins, then the RSYS_KERNEL
 environment variable ("pure" or "compiled"), then the compiled kernel
 whenever it is importable and the species table fits in 64 bits.
@@ -25,8 +27,6 @@ FOUND = _kernel_py.FOUND
 EXHAUSTED = _kernel_py.EXHAUSTED
 DEPTH_LIMITED = _kernel_py.DEPTH_LIMITED
 BUDGET_STOP = _kernel_py.BUDGET_STOP
-GOAL_FULL = _kernel_py.GOAL_FULL
-GOAL_PROJECTED = _kernel_py.GOAL_PROJECTED
 
 COMPILED_SPECIES_LIMIT = 64
 
@@ -93,7 +93,6 @@ class Engine:
         self,
         starts: list[int],
         contexts: list[int],
-        goal_kind: int,
         goal_mask: int,
         t_mask: int,
         depth_limit: int,
@@ -105,7 +104,6 @@ class Engine:
             self.rmasks,
             self.imasks,
             self.pmasks,
-            goal_kind,
             goal_mask,
             t_mask,
             depth_limit,

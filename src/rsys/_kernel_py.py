@@ -1,12 +1,14 @@
 """Pure-Python search kernel over int bit masks.
 
-Mirrors the compiled kernel's API and outputs exactly; works for any
-species count because Python ints are unbounded. The searches expand each
-distinct result value once and evaluate successors' results from one
-`core.res_split` per expanded result, where the compiled kernel expands
-every state with a full evaluation. Status codes for bfs_witness:
-0 = goal found, 1 = frontier exhausted (definitive absence),
-2 = stopped by the depth limit, 3 = stopped by the node budget.
+This module defines the kernel contract; the compiled kernel
+(`_kernel_c.cpp`) takes the same arguments and returns the same values for
+masks below 2^64. This one works for any species count because Python
+ints are unbounded. Both expand each distinct result value once; this one
+also evaluates successors' results from one `core.res_split` per expanded
+result, where the compiled one evaluates each popped state in full.
+Status codes for bfs_witness: 0 = goal found, 1 = frontier exhausted
+(definitive absence), 2 = stopped by the depth limit, 3 = stopped by the
+node budget.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ EXHAUSTED = 1
 DEPTH_LIMITED = 2
 BUDGET_STOP = 3
 
-GOAL_FULL = 0
-GOAL_PROJECTED = 1
-
 
 def bfs_witness(
     starts: list[int],
@@ -34,7 +33,6 @@ def bfs_witness(
     rmasks: tuple[int, ...],
     imasks: tuple[int, ...],
     pmasks: tuple[int, ...],
-    goal_kind: int,
     goal_mask: int,
     t_mask: int,
     depth_limit: int,
@@ -44,10 +42,10 @@ def bfs_witness(
 
     Contexts are tried in list order and states expanded first-in first-out,
     so the first goal hit is the shortest witness with the lexicographically
-    least (start, context indices) path under that order. `depth_limit` < 0
-    means unbounded. Returns (status, hit_state, context_index_path,
-    start_index, visited). A GOAL_FULL goal is the projected goal with
-    every species projected, so it ignores `t_mask`.
+    least (start, context indices) path under that order. A state w is a
+    goal when w & t_mask == goal_mask; a full-state goal passes every
+    species in `t_mask`. `depth_limit` < 0 means unbounded. Returns
+    (status, hit_state, context_index_path, start_index, visited).
 
     A state's successors depend only on its result d, so each distinct d is
     expanded once: an earlier state with the same d already inserted every
@@ -55,8 +53,6 @@ def bfs_witness(
     queued state carries its parent's `res_split` and its own context, and
     its result is evaluated from them only when it is popped.
     """
-    if goal_kind == GOAL_FULL:
-        t_mask = -1
     union = 0
     for c in contexts:
         union |= c

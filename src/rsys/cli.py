@@ -66,8 +66,11 @@ BUILTIN_NAME = "oncogenic"
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise RsysError(f"{path} is not UTF-8 text") from None
 
 
 def _write_text(path: str, text: str) -> None:

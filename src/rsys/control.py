@@ -25,7 +25,6 @@ from typing import Iterable, Optional, Sequence, Union
 from ._engine import (
     BUDGET_STOP,
     FOUND,
-    GOAL_PROJECTED,
     Engine,
     submasks_ascending,
 )
@@ -151,12 +150,28 @@ class AllowedSet(ContextConstraint):
         return {"kind": "allowed-set", "I": list(self.allowed.members)}
 
 
+def _json_names(value, field: str) -> list[str]:
+    """A JSON list of species names; a bare string is refused, since
+    iterating it would read each letter as a species."""
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise RsysError(f"{field!r} must be a list of species names, got {value!r}")
+    return value
+
+
+def _json_int(value, field: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise RsysError(f"{field!r} must be an integer, got {value!r}")
+    return value
+
+
 def constraint_from_json(data: dict, table: SpeciesTable) -> ContextConstraint:
+    if not isinstance(data, dict):
+        raise RsysError(f"'constraint' must be a JSON object, got {data!r}")
     kind = str(data.get("kind", "")).lower().replace("_", "-")
     if kind in ("max-cardinality", "maxcardinality"):
-        return MaxCardinality(int(data["n"]))
+        return MaxCardinality(_json_int(data["n"], "n"))
     if kind in ("allowed-set", "allowedset"):
-        return AllowedSet(table.set_of(data["I"]))
+        return AllowedSet(table.set_of(_json_names(data["I"], "I")))
     raise RsysError(f"unknown constraint kind {data.get('kind')!r}")
 
 
@@ -225,9 +240,11 @@ class ControlQuery:
 
 
 def query_from_json(data: dict, table: SpeciesTable) -> ControlQuery:
+    if not isinstance(data, dict):
+        raise RsysError("query must be a JSON object")
     try:
-        source = table.set_of(data["source"])
-        target = table.set_of(data["target"])
+        source = table.set_of(_json_names(data["source"], "source"))
+        target = table.set_of(_json_names(data["target"], "target"))
         constraint = constraint_from_json(data["constraint"], table)
     except KeyError as exc:
         raise RsysError(f"query is missing the {exc.args[0]!r} field") from None
@@ -237,9 +254,13 @@ def query_from_json(data: dict, table: SpeciesTable) -> ControlQuery:
         source=source,
         target=target,
         constraint=constraint,
-        targets=table.set_of(targets) if targets is not None else None,
+        targets=(
+            table.set_of(_json_names(targets, "targets"))
+            if targets is not None
+            else None
+        ),
         initial_mode=data.get("initial_mode", "given"),
-        depth_limit=int(depth) if depth is not None else None,
+        depth_limit=_json_int(depth, "depth_limit") if depth is not None else None,
     )
 
 
@@ -346,7 +367,6 @@ def find_witness(
     status, _, path, _, visited = eng.bfs_witness(
         [query.source.mask],
         ctx_masks,
-        GOAL_PROJECTED,
         query.target.mask,
         targets.mask,
         depth,
@@ -573,7 +593,7 @@ def _decide(
             checked += 1
             starts = [x | z for z in outside_subs]
             status, _, _, _, visited = eng.bfs_witness(
-                starts, ctx_masks, GOAL_PROJECTED, y, t_mask, -1, budget
+                starts, ctx_masks, y, t_mask, -1, budget
             )
             if status == BUDGET_STOP:
                 raise BudgetError(

@@ -120,16 +120,13 @@ def _res_mask(state: int, rmasks, imasks, pmasks) -> int:
 
 def bfs_witness_oracle(
     starts, contexts, rmasks, imasks, pmasks,
-    goal_kind, goal_mask, t_mask, depth_limit, node_budget,
+    goal_mask, t_mask, depth_limit, node_budget,
 ):
     """The search kernel's witness BFS over full states, one `res`
     evaluation per expanded state, nothing shared between states with the
     same result. Same arguments and return value as `_kernel_py.bfs_witness`
-    (goal kind 0 is a full-state goal; statuses 0-3 are found, exhausted,
-    depth-limited, budget stop)."""
+    (statuses 0-3 are found, exhausted, depth-limited, budget stop)."""
     res_mask = _res_mask
-    if goal_kind == 0:
-        t_mask = -1
     # parent[w] = (previous state, context index); starts use index -1-k
     parent: dict[int, tuple[int, int]] = {}
     queue: deque[tuple[int, int]] = deque()

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import golden_data
 import rsys
@@ -107,6 +109,22 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
         assert "error:" in err
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command", ["validate", "simulate", "reach", "@file"])
+    def test_is_invalid_input(self, capsys, tmp_path, chain_file, command):
+        junk = tmp_path / "junk.bin"
+        junk.write_bytes(b"\xff\xfe\x00junk")
+        argv = {
+            "validate": ["validate", str(junk)],
+            "simulate": ["simulate", chain_file, str(junk)],
+            "reach": ["reach", chain_file, str(junk)],
+            "@file": ["orbit", chain_file, "--context", "{a}", "--start", f"@{junk}"],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"{junk} is not UTF-8 text" in err
 
 
 class TestSimulate:
@@ -325,6 +343,42 @@ class TestReach:
         code, _, err = run(capsys, "reach", "oncogenic", query)
         assert code == 2
         assert "missing" in err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            pytest.param({"constraint": {"kind": "max-cardinality", "n": "x"}},
+                         "'n' must be an integer", id="n-string"),
+            pytest.param({"constraint": {"kind": "max-cardinality", "n": True}},
+                         "'n' must be an integer", id="n-bool"),
+            pytest.param({"depth_limit": "z"},
+                         "'depth_limit' must be an integer", id="depth-string"),
+            pytest.param({"constraint": {"kind": "allowed-set", "I": 5}},
+                         "'I' must be a list of species names", id="I-int"),
+            pytest.param({"constraint": [1]},
+                         "'constraint' must be a JSON object", id="constraint-list"),
+            pytest.param({"source": "ab"},
+                         "'source' must be a list of species names", id="source-string"),
+            pytest.param({"target": ["a", 1]},
+                         "'target' must be a list of species names", id="target-int-member"),
+            pytest.param({"targets": "abc"},
+                         "'targets' must be a list of species names", id="targets-string"),
+            pytest.param(None, "query must be a JSON object", id="top-level-array"),
+        ],
+    )
+    def test_malformed_query_is_invalid_input(
+        self, capsys, tmp_path, t1_file, fields, message
+    ):
+        query = {
+            "source": ["a"],
+            "target": ["c"],
+            "constraint": {"kind": "max-cardinality", "n": 1},
+        }
+        path = tmp_path / "query.json"
+        path.write_text(json.dumps([query] if fields is None else {**query, **fields}))
+        code, out, err = run(capsys, "reach", t1_file, str(path))
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 class TestDecide:
@@ -711,3 +765,88 @@ class TestTopLevel:
             check=True,
         )
         assert done.stdout.strip() == "False"
+
+
+FUZZ_SPECIES = ("a", "b", "c", "d", "e", "f")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.text("abfxyz{},", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "n", "I", "source"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mostly(valid, other=json_values):
+    """Valid values three times in four, `other` values otherwise."""
+    return st.one_of(valid, valid, valid, other)
+
+
+def set_text(members):
+    return "{" + ", ".join(members) + "}"
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, model bytes, data bytes) for one run of validate, simulate,
+    reach or orbit on up to 6 species, from a directory holding the model
+    as `model.rs.txt` and the query, contexts or state as `data`."""
+    species = draw(st.lists(st.sampled_from(FUZZ_SPECIES), min_size=1, unique=True))
+    names = st.lists(st.sampled_from(species), max_size=3, unique=True)
+    lines = ["@name fuzz", "@species " + ", ".join(species)]
+    for k in range(draw(st.integers(0, 4))):
+        r = draw(names)
+        i = [x for x in draw(names) if x not in r]
+        p = draw(st.lists(st.sampled_from(species), min_size=1, max_size=2, unique=True))
+        lines.append(f"r{k}: {set_text(r)} | {set_text(i)} -> {set_text(p)}")
+    model = draw(mostly(st.just("\n".join(lines).encode()), st.binary(max_size=24)))
+    constraint = st.one_of(
+        st.fixed_dictionaries(
+            {"kind": st.just("max-cardinality"), "n": mostly(st.integers(0, 2))}
+        ),
+        st.fixed_dictionaries({"kind": st.just("allowed-set"), "I": mostly(names)}),
+    )
+    query = st.fixed_dictionaries(
+        {"source": mostly(names), "target": mostly(names), "constraint": mostly(constraint)},
+        optional={"targets": mostly(names), "depth_limit": mostly(st.integers(1, 4))},
+    )
+    contexts = st.lists(names.map(set_text), min_size=1, max_size=3).map("\n".join)
+    state = names.map(set_text) | st.sampled_from(["@data", "S19", "x"])
+    command = draw(st.sampled_from(["validate", "simulate", "reach", "orbit"]))
+    text = query.map(json.dumps) if command == "reach" else contexts
+    data = draw(
+        text.map(str.encode)
+        | st.binary(max_size=24)
+        | json_values.map(json.dumps).map(str.encode)
+    )
+    budget = st.none() | st.integers(-1, 40)
+    model_file = "model.rs.txt"
+    argv = {
+        "validate": ["validate", model_file],
+        "simulate": ["simulate", model_file, "data", "--initial", draw(state)],
+        "reach": ["reach", model_file, "data", "--node-budget", draw(budget)],
+        "orbit": ["orbit", model_file, "--context", draw(state), "--start", draw(state),
+                  "--max-steps", draw(budget)],
+    }[command]
+    if None in argv:
+        argv = argv[:-2]
+    return [str(arg) for arg in argv], model, data
+
+
+class TestFuzz:
+    """Random argv and input files through the in-process entry point:
+    every run ends in a documented exit code, never in a traceback."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(case=cli_runs())
+    def test_exit_codes_are_documented(self, capsys, monkeypatch, tmp_path, case):
+        argv, model, data = case
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.rs.txt").write_bytes(model)
+        (tmp_path / "data").write_bytes(data)
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 64)
+        assert "Traceback" not in err
