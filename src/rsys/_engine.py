@@ -1,9 +1,10 @@
 """Mask-level engine: backend selection, memoized results, closures.
 
 The engine reads the mask tuples a ReactionSystem builds once, memoizes
-results for the life of one call, and routes hot loops to a kernel: the
-pure `_kernel_py`, or `_kernel_c`, a hand-written C++ extension with the
-same contract that `setup.py` builds when a C++ compiler is present.
+results and the image for the life of one call, and routes hot loops to a
+kernel: the pure `_kernel_py`, or `_kernel_c`, a hand-written C++
+extension with the same contract that `setup.py` builds when a C++
+compiler is present.
 Backend choice: an explicit argument wins, then the RSYS_KERNEL
 environment variable ("pure" or "compiled"), then the compiled kernel
 whenever it is importable and the species table fits in 64 bits.
@@ -15,7 +16,7 @@ import os
 from typing import Optional
 
 from . import _kernel_py
-from .core import ReactionSystem
+from .core import ReactionSystem, res_split, res_values
 from .errors import RsysError
 
 try:
@@ -66,6 +67,7 @@ class Engine:
         "resource_mask",
         "kernel",
         "_res_cache",
+        "_image",
     )
 
     def __init__(self, system: ReactionSystem, backend: Optional[str] = None):
@@ -75,6 +77,7 @@ class Engine:
         self.resource_mask = system.resource_mask
         self.kernel = _pick_kernel(len(system.species), backend)
         self._res_cache: dict[int, int] = {}
+        self._image: Optional[frozenset[int]] = None
 
     @property
     def backend(self) -> str:
@@ -117,15 +120,19 @@ class Engine:
             starts, contexts, self.rmasks, self.imasks, self.pmasks, node_budget
         )
 
-    def image(self) -> set[int]:
-        """All result masks: res over every subset of the sensed species."""
-        out = {self.res(0)}
-        full = self.resource_mask
-        sub = full
-        while sub:
-            out.add(self.res(sub))
-            sub = (sub - 1) & full
-        return out
+    def image(self) -> frozenset[int]:
+        """All result masks: res over every subset of the sensed species.
+
+        Enumerated once per engine by Shannon expansion (`core.res_values`
+        on the split of the empty result), so the probes of a minimal scan
+        share it; the work follows the reactions' structure, not the 2^k
+        subsets of the k sensed species.
+        """
+        if self._image is None:
+            full = self.resource_mask
+            base, rest = res_split(0, full, self.rmasks, self.imasks, self.pmasks)
+            self._image = frozenset(res_values(base, rest, full, full.bit_count()))
+        return self._image
 
 
 def submasks_ascending(universe: int) -> list[int]:
@@ -135,5 +142,7 @@ def submasks_ascending(universe: int) -> list[int]:
     while sub:
         subs.append(sub)
         sub = (sub - 1) & universe
-    subs.sort(key=lambda m: (m.bit_count(), m))
+    # Two stable sorts with a built-in key: by value, then by cardinality.
+    subs.sort()
+    subs.sort(key=int.bit_count)
     return subs

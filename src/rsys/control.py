@@ -11,6 +11,12 @@ ordered pairs (X, Y), X ≠ Y, with Y restricted to the image of the result
 map (target mode: to projections of the image onto T), and report the
 first counterexample in canonical order: ascending (|X|, X encoding,
 |Y|, Y encoding).
+
+An exhaustive decision never searches full states: it walks one graph
+over result values per call (`_pairscan.ResultGraph`), expanding each
+value once, and tests each source against the end sets its starts'
+results reach. Full-state closures are computed only under a node
+budget, whose states they count.
 """
 
 from __future__ import annotations
@@ -71,6 +77,11 @@ class ContextConstraint:
     def context_masks(self, table: SpeciesTable) -> list[int]:
         raise NotImplementedError
 
+    def span(self, table: SpeciesTable) -> tuple[int, int]:
+        """(union, limit): the admitted contexts are exactly the subsets of
+        `union` with at most `limit` species."""
+        raise NotImplementedError
+
     def satisfied_by(self, context: SpeciesSet) -> bool:
         raise NotImplementedError
 
@@ -112,6 +123,9 @@ class MaxCardinality(ContextConstraint):
             masks.extend(block)
         return masks
 
+    def span(self, table: SpeciesTable) -> tuple[int, int]:
+        return table.full_set.mask, self.n
+
     def satisfied_by(self, context: SpeciesSet) -> bool:
         return len(context) <= self.n
 
@@ -139,6 +153,9 @@ class AllowedSet(ContextConstraint):
 
     def context_masks(self, table: SpeciesTable) -> list[int]:
         return submasks_ascending(self.allowed.mask)
+
+    def span(self, table: SpeciesTable) -> tuple[int, int]:
+        return self.allowed.mask, len(self.allowed)
 
     def satisfied_by(self, context: SpeciesSet) -> bool:
         return context <= self.allowed
@@ -309,11 +326,13 @@ class ControllabilityVerdict:
     pairs_checked: int = 0
 
 
-def _contexts_checked(
+def _admit(
     system: ReactionSystem,
     constraint: ContextConstraint,
     limit: int = CONTEXT_UNIVERSE_LIMIT,
-) -> list[int]:
+) -> None:
+    """Bind the constraint to the system's table; refuse it when it admits
+    more contexts than `limit`."""
     table = system.species
     constraint.bind_check(table)
     count = constraint.count(table)
@@ -322,7 +341,15 @@ def _contexts_checked(
             f"constraint admits {count} contexts, above the enumeration "
             f"limit {limit}; pass a larger limit to enumerate anyway"
         )
-    return constraint.context_masks(table)
+
+
+def _contexts_checked(
+    system: ReactionSystem,
+    constraint: ContextConstraint,
+    limit: int = CONTEXT_UNIVERSE_LIMIT,
+) -> list[int]:
+    _admit(system, constraint, limit)
+    return constraint.context_masks(system.species)
 
 
 def allowed_contexts(
@@ -475,60 +502,9 @@ def trivial_witness(
 
 
 def _canonical_sorted(masks: Iterable[int]) -> list[int]:
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
-
-
-def _scan_pairs(
-    eng: Engine,
-    x_masks: Sequence[int],
-    y_masks: Sequence[int],
-    ctx_masks: list[int],
-    outside_subs: list[int],
-    t_mask: int,
-    budget: int,
-) -> tuple[int, Optional[tuple[int, int]]]:
-    """Scan pairs in canonical order; return (pairs checked through the
-    decision point, first counterexample or None).
-
-    A successor C ∪ res(W) depends only on res(W), so the states seen as
-    successors of a source's starts depend only on the set of the starts'
-    results: one closure serves every source with the same result set.
-    The node budget still caps each source's own closure, starts ∪
-    successors, exactly as if it had been computed afresh.
-    """
-    full = outside_subs == [0]
-    y_set = set(y_masks)
-    # start-result key -> (successor states, kept only while the budget
-    # could cut a later source's closure; end sets they reach)
-    closures: dict = {}
-    checked = 0
-    for x in x_masks:
-        starts = [x | z for z in outside_subs]
-        key = eng.res(x) if full else frozenset(eng.res(w) for w in starts)
-        hit = closures.get(key)
-        if hit is None:
-            _, seen, truncated = eng.bfs_closure(starts, ctx_masks, budget)
-            reached = y_set & (seen if full else {w & t_mask for w in seen})
-            keep = seen if len(seen) + len(starts) > budget else None
-            closures[key] = (keep, reached)
-        else:
-            seen, reached = hit
-            truncated = (
-                seen is not None
-                and len(seen) + sum(w not in seen for w in starts) > budget
-            )
-        if truncated:
-            raise BudgetError(
-                "reachability closure stopped by the node budget",
-                visited=budget,
-            )
-        for y in y_masks:
-            if y == x:
-                continue
-            checked += 1
-            if y not in reached:
-                return checked, (x, y)
-    return checked, None
+    out = sorted(masks)
+    out.sort(key=int.bit_count)
+    return out
 
 
 def _decide(
@@ -572,12 +548,13 @@ def _decide(
             f"(limit {frontier_limit}); pin the full start state with "
             "find_witness instead, or raise frontier_limit"
         )
-    ctx_masks = _contexts_checked(system, constraint)
+    _admit(system, constraint)
     if eng is None:
         eng = Engine(system)
     outside_subs = submasks_ascending(outside)
 
     if isinstance(scope, Sampled):
+        ctx_masks = constraint.context_masks(table)
         rng = random.Random(scope.seed)
         n = len(table)
         checked = 0
@@ -608,8 +585,8 @@ def _decide(
                 )
         return ControllabilityVerdict(True, None, checked)
 
-    # End sets come from the image of the result map; enumerating it is
-    # exponential in the sensed species, so only the exhaustive scope
+    # End sets come from the image of the result map; enumerating it can
+    # be exponential in the sensed species, so only the exhaustive scope
     # (whose size the ceilings above already bound) may pay for it.
     projections = {v & t_mask for v in eng.image()}
     if proviso == "projection":
@@ -622,9 +599,21 @@ def _decide(
             down.update(submasks_ascending(proj))
         y_masks = _canonical_sorted(down)
 
-    x_masks = submasks_ascending(t_mask)
-    checked, cex = _scan_pairs(
-        eng, x_masks, y_masks, ctx_masks, outside_subs, t_mask, budget
+    # Imported here so that commands that never decide do not load it.
+    from ._pairscan import ResultGraph, scan_pairs
+
+    union, limit = constraint.span(table)
+    graph = ResultGraph(eng, union, limit, y_masks, t_mask)
+    # Only a budget needs the contexts themselves, for kernel closures.
+    ctx_masks = constraint.context_masks(table) if budget < UNLIMITED else None
+    checked, cex = scan_pairs(
+        eng,
+        graph,
+        submasks_ascending(t_mask),
+        y_masks,
+        outside_subs,
+        ctx_masks,
+        budget,
     )
     if cex is None:
         return ControllabilityVerdict(True, None, checked)

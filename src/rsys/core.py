@@ -466,6 +466,48 @@ def res_split(
     return base, tuple(rest)
 
 
+def res_values(
+    base: int, rest: tuple[tuple[int, int, int], ...], union: int, limit: int
+) -> set[int]:
+    """Every distinct result of a `res_split(d, union)` over the contexts
+    c ⊆ union with at most `limit` species: the set of res(c | d).
+
+    Shannon expansion, as a BDD cofactor splits: each step picks a species
+    of the first live entry, and the branch where it is absent and the one
+    where it is present each drop the entries the choice decides. A branch
+    stops once no live entry can add a product to its base; the species
+    left unassigned are then absent, which every limit admits. Branches
+    wait on a list, not on the call stack, so an entry with thousands of
+    reactants needs no deep recursion.
+    """
+    out: set[int] = set()
+    # An inhibitor outside the union is never in c, so it blocks nothing.
+    todo = [(base, [(r, i & union, p) for r, i, p in rest], limit)]
+    while todo:
+        base, live, room = todo.pop()
+        while True:
+            kept = []
+            for r, i, p in live:
+                if not p & ~base or r.bit_count() > room:
+                    continue
+                if not r and (not i or not room):
+                    base |= p
+                else:
+                    kept.append((r, i, p))
+            if not kept:
+                out.add(base)
+                break
+            r, i, _ = kept[0]
+            split = r or i
+            s = split & -split
+            todo.append(
+                (base, [(r, i & ~s, p) for r, i, p in kept if not r & s], room)
+            )
+            live = [(r & ~s, i, p) for r, i, p in kept if not i & s]
+            room -= 1
+    return out
+
+
 def result_all(system: ReactionSystem, state: SpeciesSet) -> SpeciesSet:
     """Union of products of all reactions enabled in `state`."""
     probe = SpeciesSet(system.species, 0)

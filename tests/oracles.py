@@ -109,6 +109,25 @@ def reachable_states(
     return seen
 
 
+def result_closure(
+    reactions: list[Triple],
+    contexts: list[frozenset],
+    results: set[frozenset],
+) -> set[frozenset]:
+    """Result values reachable from `results` (included), where a result d
+    leads to res(c ∪ d) for every context c."""
+    seen = set(results)
+    queue = deque(seen)
+    while queue:
+        d = queue.popleft()
+        for ctx in contexts:
+            d2 = res_oracle(reactions, ctx | d)
+            if d2 not in seen:
+                seen.add(d2)
+                queue.append(d2)
+    return seen
+
+
 def _res_mask(state: int, rmasks, imasks, pmasks) -> int:
     """res over bit masks: union of products of the reactions enabled."""
     out = 0

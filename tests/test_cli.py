@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import golden_data
@@ -766,6 +766,19 @@ class TestTopLevel:
         )
         assert done.stdout.strip() == "False"
 
+    def test_import_leaves_the_pair_scan_unloaded(self):
+        # Only a decision loads (and, without bytecode caching, compiles) it.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rsys.__file__)))
+        probe = "import sys, rsys.cli; print('rsys._pairscan' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
+
 
 FUZZ_SPECIES = ("a", "b", "c", "d", "e", "f")
 json_values = st.recursive(
@@ -785,11 +798,9 @@ def set_text(members):
     return "{" + ", ".join(members) + "}"
 
 
-@st.composite
-def cli_runs(draw):
-    """(argv, model bytes, data bytes) for one run of validate, simulate,
-    reach or orbit on up to 6 species, from a directory holding the model
-    as `model.rs.txt` and the query, contexts or state as `data`."""
+def draw_model(draw):
+    """(species names, strategy for up to 3 of them, model bytes) for a
+    model on up to 6 species, mostly valid."""
     species = draw(st.lists(st.sampled_from(FUZZ_SPECIES), min_size=1, unique=True))
     names = st.lists(st.sampled_from(species), max_size=3, unique=True)
     lines = ["@name fuzz", "@species " + ", ".join(species)]
@@ -799,6 +810,15 @@ def cli_runs(draw):
         p = draw(st.lists(st.sampled_from(species), min_size=1, max_size=2, unique=True))
         lines.append(f"r{k}: {set_text(r)} | {set_text(i)} -> {set_text(p)}")
     model = draw(mostly(st.just("\n".join(lines).encode()), st.binary(max_size=24)))
+    return species, names, model
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, model bytes, data bytes) for one run of validate, simulate,
+    reach or orbit on up to 6 species, from a directory holding the model
+    as `model.rs.txt` and the query, contexts or state as `data`."""
+    species, names, model = draw_model(draw)
     constraint = st.one_of(
         st.fixed_dictionaries(
             {"kind": st.just("max-cardinality"), "n": mostly(st.integers(0, 2))}
@@ -832,21 +852,69 @@ def cli_runs(draw):
     return [str(arg) for arg in argv], model, data
 
 
+@st.composite
+def decide_runs(draw):
+    """(argv, model bytes) for one `decide` run on up to 6 species: a
+    constraint or a minimal scan, then any of target sets, provisos,
+    sampling and node budgets, so some runs combine options that
+    conflict."""
+    _, names, model = draw_model(draw)
+    state = mostly(names.map(set_text), st.text("abfxyz{}, ", max_size=6))
+    constraint = mostly(
+        st.integers(-1, 3).map("max-cardinality={}".format)
+        | names.map(set_text).map("allowed-set={}".format),
+        st.text("abfxyz=-{},", max_size=8),
+    )
+    mode = draw(st.sampled_from(["--constraint", "--constraint", "--minimal-n", "--minimal-I"]))
+    argv = ["decide", "model.rs.txt", mode]
+    if mode != "--minimal-n":
+        argv.append(draw(constraint if mode == "--constraint" else state))
+    count = st.integers(-1, 12)
+    for option, value in (
+        ("--targets", state),
+        ("--proviso", st.sampled_from(["projection", "superset"])),
+        ("--sample", count),
+        ("--seed", count),
+        ("--node-budget", st.integers(-1, 40)),
+    ):
+        if draw(st.booleans()):
+            argv += [option, draw(value)]
+    return [str(arg) for arg in argv], model
+
+
 class TestFuzz:
     """Random argv and input files through the in-process entry point:
-    every run ends in a documented exit code, never in a traceback."""
+    every run ends in a documented exit code, never in a traceback.
 
-    @settings(
+    Failures are reported unshrunk: shrinking replays many CLI runs and
+    would stall the suite for minutes before reporting."""
+
+    fuzz = settings(
         max_examples=150,
         deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
         suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
     )
+
+    @fuzz
     @given(case=cli_runs())
     def test_exit_codes_are_documented(self, capsys, monkeypatch, tmp_path, case):
         argv, model, data = case
         monkeypatch.chdir(tmp_path)
         (tmp_path / "model.rs.txt").write_bytes(model)
         (tmp_path / "data").write_bytes(data)
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 64)
+        assert "Traceback" not in err
+
+    @fuzz
+    @given(case=decide_runs())
+    def test_decide_exit_codes_are_documented(
+        self, capsys, monkeypatch, tmp_path, case
+    ):
+        argv, model = case
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.rs.txt").write_bytes(model)
         code, _, err = run(capsys, *argv)
         assert code in (0, 1, 2, 64)
         assert "Traceback" not in err

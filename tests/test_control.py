@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import rsys._pairscan
 from rsys._engine import Engine
 from rsys.control import (
     AllowedSet,
@@ -24,7 +25,12 @@ from rsys.control import (
 )
 from rsys.errors import BudgetError, RefusalError, RsysError
 
-from oracles import random_system, res_oracle, shortest_witness_len
+from oracles import (
+    random_system,
+    res_oracle,
+    result_closure,
+    shortest_witness_len,
+)
 from util import canonical_subsets, make_system, names_of, plain_reactions
 
 # S = {a, b, c}, reactions ({a}, {b}, {c}) and ({b}, {}, {b}): species b
@@ -473,13 +479,34 @@ def closure_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def expanded(monkeypatch):
+    """Record the result values the decisions' result graphs expand."""
+    calls = []
+    split = rsys._pairscan.res_split
+
+    def counting(d, *args):
+        calls.append(d)
+        return split(d, *args)
+
+    monkeypatch.setattr(rsys._pairscan, "res_split", counting)
+    return calls
+
+
+# Budgeted scans: a budget caps each source's closure in full states, so
+# the scan still computes kernel closures, one per start-result set.
+BUDGET = 1 << 20
+
+
 class TestSharedClosures:
     def test_one_closure_when_every_result_is_empty(self, closure_calls):
-        # No reactions: every source has the results {} and so one closure,
-        # where one closure per source would take 2^17.
+        # No reactions: every source has the results {} and so, under a
+        # budget, one closure, where one closure per source would take 2^17.
         names = [f"s{k}" for k in range(17)]
         system = make_system(names, [])
-        verdict = decide_controllable(system, MaxCardinality(1), species_limit=17)
+        verdict = decide_controllable(
+            system, MaxCardinality(1), species_limit=17, node_budget=BUDGET
+        )
         assert verdict.decision and verdict.pairs_checked == (1 << 17) - 1
         assert len(closure_calls) == 1
 
@@ -501,19 +528,64 @@ class TestSharedClosures:
         table = system.species
         targets = names[:n_targets]
         verdict = decide_target_controllable(
-            system, table.set_of(targets), MaxCardinality(1)
+            system, table.set_of(targets), MaxCardinality(1), node_budget=BUDGET
         )
-        # The sources scanned, in canonical order up to the decision point.
-        sources = canonical_subsets(targets)
-        if verdict.counterexample is not None:
-            last = names_of(verdict.counterexample[0])
-            sources = sources[: sources.index(last) + 1]
-        completions = canonical_subsets(names[n_targets:])
         keys = {
-            frozenset(res_oracle(reactions, x | z) for z in completions)
-            for x in sources
+            frozenset(starts)
+            for starts in scanned_start_results(verdict, names, reactions, targets)
         }
         assert len(closure_calls) == len(keys)
+
+
+def scanned_start_results(verdict, names, reactions, targets):
+    """Per source scanned, in canonical order up to the decision point, the
+    results of its starts X ∪ Z, Z ⊆ S ∖ T."""
+    sources = canonical_subsets(targets)
+    if verdict.counterexample is not None:
+        last = names_of(verdict.counterexample[0])
+        sources = sources[: sources.index(last) + 1]
+    completions = canonical_subsets([n for n in names if n not in targets])
+    return [{res_oracle(reactions, x | z) for z in completions} for x in sources]
+
+
+class TestResultGraph:
+    def test_wide_system_expands_one_node_and_no_closure(
+        self, closure_calls, expanded
+    ):
+        # No reactions: every result is {}, so 2^17 sources share one node.
+        names = [f"s{k}" for k in range(17)]
+        system = make_system(names, [])
+        verdict = decide_controllable(system, MaxCardinality(1), species_limit=17)
+        assert verdict.decision and verdict.pairs_checked == (1 << 17) - 1
+        assert closure_calls == []
+        assert expanded == [0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 10])
+    @pytest.mark.parametrize("n_targets", [2, 5])
+    @pytest.mark.parametrize("allowed", [None, ("s0", "s2", "s3")])
+    def test_each_reachable_result_expanded_once(
+        self, closure_calls, expanded, seed, n_targets, allowed
+    ):
+        names, reactions = random_system(random.Random(seed), 5, 6)
+        system = make_system(names, reactions)
+        table = system.species
+        targets = names[:n_targets]
+        if allowed is None:
+            constraint = MaxCardinality(1)
+            contexts = [s for s in canonical_subsets(names) if len(s) <= 1]
+        else:
+            constraint = AllowedSet(table.set_of(allowed))
+            contexts = canonical_subsets(allowed)
+        verdict = decide_target_controllable(
+            system, table.set_of(targets), constraint
+        )
+        starts = set().union(
+            *scanned_start_results(verdict, names, reactions, targets)
+        )
+        reachable = result_closure(reactions, contexts, starts)
+        assert closure_calls == []
+        assert len(expanded) == len(set(expanded)) == len(reachable)
+        assert {names_of(table.from_mask(d)) for d in expanded} == reachable
 
 
 @pytest.mark.parametrize(

@@ -12,12 +12,21 @@ from rsys.control import (
     AllowedSet,
     ControlQuery,
     MaxCardinality,
+    allowed_contexts,
     decide_controllable,
     decide_target_controllable,
     find_witness,
     verify_witness,
 )
-from rsys.core import res_split, result_all, run_process
+from rsys.core import (
+    Reaction,
+    ReactionSystem,
+    SpeciesTable,
+    res_split,
+    res_values,
+    result_all,
+    run_process,
+)
 from rsys.errors import BudgetError
 from rsys.dynamics import (
     context_graph,
@@ -152,6 +161,86 @@ class TestProcessSemantics:
                     got |= p
             expected = oracles.res_oracle(reactions, names_of(c | d))
             assert names_of(table.from_mask(got)) == expected
+
+
+@st.composite
+def raw_systems(draw, max_species=7, max_reactions=6):
+    """Systems the Reaction checks would refuse as well: 1-7 species, no
+    reactions at all, empty reactant sets, reactants that overlap
+    inhibitors."""
+    names = [f"s{k}" for k in range(draw(st.integers(1, max_species)))]
+    table = SpeciesTable(names)
+    part = st.sets(st.sampled_from(names), max_size=3).map(table.set_of)
+    products = st.sets(st.sampled_from(names), min_size=1, max_size=2)
+    reactions = [
+        Reaction.unchecked(draw(part), draw(part), table.set_of(draw(products)))
+        for _ in range(draw(st.integers(0, max_reactions)))
+    ]
+    return ReactionSystem(table, reactions)
+
+
+class TestCofactoring:
+    @given(system=raw_systems())
+    @relaxed
+    def test_image_matches_the_exponential_scan(self, system):
+        names = frozenset(system.species.names)
+        expected = oracles.image_oracle(plain_reactions(system), names)
+        got = Engine(system).image()
+        assert {names_of(system.species.from_mask(m)) for m in got} == expected
+
+    @given(data=st.data(), system=systems(max_reactions=7))
+    @relaxed
+    def test_successors_are_the_results_of_every_admitted_context(
+        self, data, system
+    ):
+        table = system.species
+        names = list(table.names)
+        d = table.set_of(data.draw(subsets(names)))
+        if data.draw(st.booleans()):
+            constraint = MaxCardinality(data.draw(st.integers(0, len(names) - 1)))
+        else:
+            constraint = AllowedSet(table.set_of(data.draw(subsets(names))))
+        union, limit = constraint.span(table)
+        base, rest = res_split(
+            d.mask, union, system.rmasks, system.imasks, system.pmasks
+        )
+        values = res_values(base, rest, union, limit)
+        got = {names_of(table.from_mask(m)) for m in values}
+        reactions = plain_reactions(system)
+        expected = {
+            oracles.res_oracle(reactions, names_of(c | d))
+            for c in allowed_contexts(system, constraint)
+        }
+        assert got == expected
+
+    def test_the_limit_counts_the_species_of_every_branch(self):
+        # {a} -> {b} and {c} -> {a}: one species fires one reaction, two
+        # species can fire both.
+        system = make_system(["a", "b", "c"], [(["a"], [], ["b"]), (["c"], [], ["a"])])
+        base, rest = res_split(
+            0, 0b111, system.rmasks, system.imasks, system.pmasks
+        )
+        assert res_values(base, rest, 0b111, 0) == {0}
+        assert res_values(base, rest, 0b111, 1) == {0, 0b001, 0b010}
+        assert res_values(base, rest, 0b111, 2) == {0, 0b001, 0b010, 0b011}
+
+    def test_an_inhibitor_outside_the_union_blocks_nothing(self):
+        # {a} | {b} -> {c} and {a} -> {d} under contexts ⊆ {a, e}: b is
+        # never present, so a alone fires both reactions.
+        system = make_system(
+            ["a", "b", "c", "d", "e"], [(["a"], ["b"], ["c"]), (["a"], [], ["d"])]
+        )
+        union = 0b10001
+        base, rest = res_split(
+            0, union, system.rmasks, system.imasks, system.pmasks
+        )
+        assert res_values(base, rest, union, 2) == {0, 0b01100}
+
+
+def test_image_of_a_reaction_with_1500_reactants():
+    names = [f"x{k}" for k in range(1500)] + ["p"]
+    system = make_system(names, [(names[:-1], (), ["p"])])
+    assert Engine(system).image() == {0, 1 << 1500}
 
 
 class TestSerialization:
