@@ -326,30 +326,23 @@ class ControllabilityVerdict:
     pairs_checked: int = 0
 
 
-def _admit(
+def _context_masks(
     system: ReactionSystem,
     constraint: ContextConstraint,
     limit: int = CONTEXT_UNIVERSE_LIMIT,
-) -> None:
-    """Bind the constraint to the system's table; refuse it when it admits
-    more contexts than `limit`."""
+    advice: str = "",
+) -> list[int]:
+    """The contexts the constraint admits, in canonical order; refuse to
+    list them when there are more than `limit`."""
     table = system.species
     constraint.bind_check(table)
     count = constraint.count(table)
     if count > limit:
         raise RefusalError(
             f"constraint admits {count} contexts, above the enumeration "
-            f"limit {limit}; pass a larger limit to enumerate anyway"
+            f"limit {limit}{advice}"
         )
-
-
-def _contexts_checked(
-    system: ReactionSystem,
-    constraint: ContextConstraint,
-    limit: int = CONTEXT_UNIVERSE_LIMIT,
-) -> list[int]:
-    _admit(system, constraint, limit)
-    return constraint.context_masks(system.species)
+    return constraint.context_masks(table)
 
 
 def allowed_contexts(
@@ -359,7 +352,10 @@ def allowed_contexts(
 ) -> list[SpeciesSet]:
     """All contexts the constraint admits, ascending by (size, encoding)."""
     table = system.species
-    return [table.from_mask(m) for m in _contexts_checked(system, constraint, limit)]
+    masks = _context_masks(
+        system, constraint, limit, "; pass a larger limit to enumerate anyway"
+    )
+    return [table.from_mask(m) for m in masks]
 
 
 def find_witness(
@@ -382,7 +378,7 @@ def find_witness(
     if query.targets is not None:
         _check_table(query.targets, system, "target set")
     table = system.species
-    ctx_masks = _contexts_checked(system, query.constraint)
+    ctx_masks = _context_masks(system, query.constraint)
     # A full-state goal is the projected goal with every species projected.
     targets = table.full_set if query.targets is None else query.targets
     if query.initial_mode == "context" and not query.constraint.satisfied_by(
@@ -548,13 +544,18 @@ def _decide(
             f"(limit {frontier_limit}); pin the full start state with "
             "find_witness instead, or raise frontier_limit"
         )
-    _admit(system, constraint)
+    # Only the kernel searches of sampled and budgeted decisions list the
+    # contexts; the result graph reads the constraint's span instead.
+    if isinstance(scope, Sampled) or budget < UNLIMITED:
+        ctx_masks = _context_masks(system, constraint)
+    else:
+        constraint.bind_check(table)
+        ctx_masks = None
     if eng is None:
         eng = Engine(system)
     outside_subs = submasks_ascending(outside)
 
     if isinstance(scope, Sampled):
-        ctx_masks = constraint.context_masks(table)
         rng = random.Random(scope.seed)
         n = len(table)
         checked = 0
@@ -604,8 +605,6 @@ def _decide(
 
     union, limit = constraint.span(table)
     graph = ResultGraph(eng, union, limit, y_masks, t_mask)
-    # Only a budget needs the contexts themselves, for kernel closures.
-    ctx_masks = constraint.context_masks(table) if budget < UNLIMITED else None
     checked, cex = scan_pairs(
         eng,
         graph,

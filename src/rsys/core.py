@@ -111,8 +111,14 @@ class SpeciesSet:
 
     @property
     def members(self) -> tuple[str, ...]:
+        names = self.table.names
+        out = []
         m = self.mask
-        return tuple(n for k, n in enumerate(self.table.names) if m >> k & 1)
+        while m:
+            low = m & -m
+            out.append(names[low.bit_length() - 1])
+            m ^= low
+        return tuple(out)
 
     def sort_key(self) -> tuple[int, int]:
         """Canonical order: ascending cardinality, then ascending encoding."""
@@ -175,10 +181,24 @@ class SpeciesSet:
         return "{" + ", ".join(disp(n) for n in self.members) + "}"
 
 
-class Reaction:
-    """A reactants/inhibitors/products triple over one species table."""
+def _unchecked_set(table: SpeciesTable, mask: int) -> SpeciesSet:
+    d = object.__new__(SpeciesSet)
+    d.table = table
+    d.mask = mask
+    return d
 
-    __slots__ = ("label", "reactants", "inhibitors", "products")
+
+class Reaction:
+    """A reactants/inhibitors/products triple over one species table.
+
+    A reaction keeps its table and one mask per part (`rmask`, `imask`,
+    `pmask`); `reactants`, `inhibitors` and `products` build the species
+    set when read. So a reaction is one object for the garbage collector
+    to trace instead of four: an imported 60-variable network holds about
+    140 reactions, and every full collection walks all of them.
+    """
+
+    __slots__ = ("label", "table", "rmask", "imask", "pmask")
 
     def __init__(
         self,
@@ -201,9 +221,10 @@ class Reaction:
         if products.mask == 0:
             raise ReactionError("empty product set")
         self.label = label
-        self.reactants = reactants
-        self.inhibitors = inhibitors
-        self.products = products
+        self.table = reactants.table
+        self.rmask = reactants.mask
+        self.imask = inhibitors.mask
+        self.pmask = products.mask
 
     @classmethod
     def unchecked(
@@ -213,31 +234,46 @@ class Reaction:
         products: SpeciesSet,
         label: Optional[str] = None,
     ) -> Reaction:
-        """Build without invariant checks, for diagnostics and negative tests."""
+        """Build without invariant checks, for diagnostics and negative tests.
+
+        All three masks are read over the reactants' table, even where a
+        part comes from another table.
+        """
         self = object.__new__(cls)
         self.label = label
-        self.reactants = reactants
-        self.inhibitors = inhibitors
-        self.products = products
+        self.table = reactants.table
+        self.rmask = reactants.mask
+        self.imask = inhibitors.mask
+        self.pmask = products.mask
         return self
 
+    # The parts skip SpeciesSet's range check: a checked reaction's masks
+    # passed it when the reaction was built, and an unchecked one keeps
+    # whatever it was given, for validate_system and run_process to report.
     @property
-    def table(self) -> SpeciesTable:
-        return self.reactants.table
+    def reactants(self) -> SpeciesSet:
+        return _unchecked_set(self.table, self.rmask)
+
+    @property
+    def inhibitors(self) -> SpeciesSet:
+        return _unchecked_set(self.table, self.imask)
+
+    @property
+    def products(self) -> SpeciesSet:
+        return _unchecked_set(self.table, self.pmask)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Reaction)
             and self.label == other.label
-            and self.reactants == other.reactants
-            and self.inhibitors == other.inhibitors
-            and self.products == other.products
+            and self.rmask == other.rmask
+            and self.imask == other.imask
+            and self.pmask == other.pmask
+            and (self.table is other.table or self.table.names == other.table.names)
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.label, self.reactants.mask, self.inhibitors.mask, self.products.mask)
-        )
+        return hash((self.label, self.rmask, self.imask, self.pmask))
 
     def __repr__(self) -> str:
         head = f"{self.label}: " if self.label else ""
@@ -264,12 +300,12 @@ class ReactionSystem:
                 if r.label in seen_labels:
                     raise ReactionError(f"duplicate reaction label {r.label!r}")
                 seen_labels.add(r.label)
-            resource_mask |= r.reactants.mask | r.inhibitors.mask
+            resource_mask |= r.rmask | r.imask
         self.species = species
         self.reactions = reactions
-        self.rmasks = tuple(r.reactants.mask for r in reactions)
-        self.imasks = tuple(r.inhibitors.mask for r in reactions)
-        self.pmasks = tuple(r.products.mask for r in reactions)
+        self.rmasks = tuple(r.rmask for r in reactions)
+        self.imasks = tuple(r.imask for r in reactions)
+        self.pmasks = tuple(r.pmask for r in reactions)
         self.resource_mask = resource_mask
 
     @property
@@ -409,7 +445,7 @@ def enabled(reaction: Reaction, state: SpeciesSet) -> bool:
     """True iff all reactants are present and no inhibitor is."""
     _same_table(reaction.reactants, state)
     m = state.mask
-    return reaction.reactants.mask & ~m == 0 and reaction.inhibitors.mask & m == 0
+    return reaction.rmask & ~m == 0 and reaction.imask & m == 0
 
 
 def result_reaction(reaction: Reaction, state: SpeciesSet) -> SpeciesSet:
@@ -508,6 +544,58 @@ def res_values(
     return out
 
 
+RES_CHUNK_BITS = 6
+
+
+def _or_table(masks: Iterable[int]) -> list[int]:
+    """t[u] is the union of masks[k] over the set bits k of u."""
+    t = [0]
+    for m in masks:
+        t += [x | m for x in t]
+    return t
+
+
+def res_tables(
+    n: int, rmasks: tuple[int, ...], imasks: tuple[int, ...], pmasks: tuple[int, ...]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Lookup tables that evaluate res over states of `n` species a chunk
+    of W = RES_CHUNK_BITS bits at a time, as byte-wise CRC tables do.
+
+    Returns (disables, produces); chunk c covers bits c*W … c*W+W-1.
+    disables[c][v] is the mask of reactions that chunk c of a state
+    disables when it holds v: a reactant absent or an inhibitor present.
+    produces[c][v] is the union of the products of the reactions whose
+    bits v sets in chunk c of an enabled-reaction mask. So for a state s
+    below 2^n, the enabled reactions e are those in no disables[c][chunk
+    c of s], and res(s) is the union of produces[c][chunk c of e].
+    Reactant masks must lie below 2^n, as a ReactionSystem's do; inhibitor
+    bits at n or above are never present, so they disable nothing.
+    """
+    w = RES_CHUNK_BITS
+    in_range = (1 << n) - 1
+    needed_by = [0] * n
+    inhibits = [0] * n
+    for j, (r, i) in enumerate(zip(rmasks, imasks)):
+        bit = 1 << j
+        while r:
+            low = r & -r
+            needed_by[low.bit_length() - 1] |= bit
+            r ^= low
+        i &= in_range
+        while i:
+            low = i & -i
+            inhibits[low.bit_length() - 1] |= bit
+            i ^= low
+    disables = []
+    for lo in range(0, n, w):
+        absent = _or_table(needed_by[lo : lo + w])
+        present = _or_table(inhibits[lo : lo + w])
+        full = len(absent) - 1
+        disables.append([absent[full ^ v] | present[v] for v in range(full + 1)])
+    produces = [_or_table(pmasks[lo : lo + w]) for lo in range(0, len(pmasks), w)]
+    return disables, produces
+
+
 def result_all(system: ReactionSystem, state: SpeciesSet) -> SpeciesSet:
     """Union of products of all reactions enabled in `state`."""
     probe = SpeciesSet(system.species, 0)
@@ -556,7 +644,37 @@ def run_process(
     results = [d]
     rmasks, imasks, pmasks = system.rmasks, system.imasks, system.pmasks
     m = d.mask
+    n = len(table)
+    w = RES_CHUNK_BITS
+    # The tables cost about as much to build as 2^W steps save. Products
+    # from outside the table (unchecked reactions) keep the checked path,
+    # which raises at the first result out of range.
+    if len(ctxs) <= 1 << w or any(p >> n for p in pmasks):
+        for c in ctxs[:-1]:
+            m = res_mask(c.mask | m, rmasks, imasks, pmasks)
+            results.append(SpeciesSet(table, m))
+        return ProcessTrace(ctxs, tuple(results), mode)
+    disables, produces = res_tables(n, rmasks, imasks, pmasks)
+    chunk = (1 << w) - 1
+    every = (1 << len(rmasks)) - 1
+    seen: dict[int, SpeciesSet] = {}
     for c in ctxs[:-1]:
-        m = res_mask(c.mask | m, rmasks, imasks, pmasks)
-        results.append(SpeciesSet(table, m))
+        s = c.mask | m
+        off = 0
+        for t in disables:
+            off |= t[s & chunk]
+            s >>= w
+        e = every & ~off
+        m = 0
+        for t in produces:
+            m |= t[e & chunk]
+            e >>= w
+        # Equal results share one SpeciesSet: a long replay repeats about a
+        # third of its results, and each object it skips is one fewer for
+        # the garbage collector to trace while the trace is alive.
+        d = seen.get(m)
+        if d is None:
+            # Every product lies in the table, so m needs no range check.
+            d = seen[m] = _unchecked_set(table, m)
+        results.append(d)
     return ProcessTrace(ctxs, tuple(results), mode)

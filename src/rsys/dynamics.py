@@ -243,8 +243,16 @@ def _cover_search(
     free end up OUT, so the search only has to add inhibitor species for
     reactions whose reactants are already fully pinned IN. Returns the IN
     mask of the first solution in canonical order, or None.
+
+    Once the search has backtracked, a node is abandoned when `hopeless`
+    shows that no completion of its pins succeeds; this skips only
+    subtrees without a solution, so the answer is the one the plain search
+    finds. Pins only grow down a branch, so a reaction that covers a
+    species later is one of its candidates that can fire now: a species
+    with one such candidate left forces that candidate's pins, and one with
+    none ends the branch.
     """
-    rm, im = eng.rmasks, eng.imasks
+    rm, im, pm = eng.rmasks, eng.imasks, eng.pmasks
     vbits = []
     m = v_mask
     while m:
@@ -273,18 +281,52 @@ def _cover_search(
             return None
         return inm
 
+    # The check costs a pass over the open target species per node, so it
+    # starts at the first dead end: a search that never backtracks skips it.
+    dead_ends = 0
+
+    def hopeless(pos: int, covered: int, inm: int, outm: int) -> bool:
+        pending = vbits[pos:]
+        forced = True
+        while forced:
+            forced = False
+            rest = []
+            for b in pending:
+                if covered & b:
+                    continue
+                live = -1
+                for k in candidates_for[b]:
+                    if not (rm[k] & outm or im[k] & inm):
+                        if live >= 0:
+                            rest.append(b)
+                            break
+                        live = k
+                else:
+                    if live < 0:
+                        return True
+                    inm |= rm[live]
+                    outm |= im[live]
+                    covered |= pm[live]
+                    forced = True
+            pending = rest
+        return False
+
     def cover(pos: int, covered: int, inm: int, outm: int) -> Optional[int]:
+        nonlocal dead_ends
         while pos < len(vbits) and covered & vbits[pos]:
             pos += 1
         if pos == len(vbits):
             return solve_bad(inm, outm)
+        if dead_ends and hopeless(pos, covered, inm, outm):
+            return None
         for k in candidates_for[vbits[pos]]:
             fired = fire(k, inm, outm)
             if fired is None:
                 continue
-            got = cover(pos + 1, covered | eng.pmasks[k], *fired)
+            got = cover(pos + 1, covered | pm[k], *fired)
             if got is not None:
                 return got
+        dead_ends += 1
         return None
 
     return cover(0, 0, 0, 0)
@@ -413,9 +455,7 @@ def nonce_extension(
     extra_bits = [1 << table.index(name) for name in extra]
     reactions: list[Reaction] = []
     for r in system.reactions:
-        rmask = r.reactants.mask
-        imask = r.inhibitors.mask
-        pmask = r.products.mask
+        rmask, imask, pmask = r.rmask, r.imask, r.pmask
         for combo in combos:
             add_r = 0
             add_i = 0

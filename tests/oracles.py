@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from typing import Optional
 
 Triple = tuple[frozenset, frozenset, frozenset]
 
@@ -386,3 +387,54 @@ def bn_step_oracle(
                 out.add(name)
                 break
     return frozenset(out)
+
+
+def cover_search_oracle(
+    rmasks, imasks, pmasks, v_mask: int, exact: bool
+) -> Optional[int]:
+    """The preimage mask `image_membership` (exact) or
+    `superset_image_membership` returns, found by the plain depth-first
+    cover search with no pruning: per target species in ascending bit order
+    a candidate reaction is fired, pinning its reactants IN and inhibitors
+    OUT; in exact mode every reaction producing outside the target is then
+    disabled by pinning one of its inhibitors IN. The first solution wins."""
+    n = len(rmasks)
+    if exact:
+        good = [k for k in range(n) if not pmasks[k] & ~v_mask]
+        bad = [k for k in range(n) if pmasks[k] & ~v_mask]
+    else:
+        good, bad = list(range(n)), []
+    vbits = [1 << b for b in range(v_mask.bit_length()) if v_mask >> b & 1]
+    cands = [[k for k in good if pmasks[k] & b] for b in vbits]
+    if not all(cands):
+        return None
+
+    def solve_bad(inm: int, outm: int) -> Optional[int]:
+        for k in bad:
+            if rmasks[k] & outm or imasks[k] & inm or rmasks[k] & ~inm:
+                continue
+            for b in range(imasks[k].bit_length()):
+                y = 1 << b
+                if imasks[k] & y and not outm & y:
+                    got = solve_bad(inm | y, outm)
+                    if got is not None:
+                        return got
+            return None
+        return inm
+
+    def cover(pos: int, covered: int, inm: int, outm: int) -> Optional[int]:
+        while pos < len(vbits) and covered & vbits[pos]:
+            pos += 1
+        if pos == len(vbits):
+            return solve_bad(inm, outm)
+        for k in cands[pos]:
+            if rmasks[k] & outm or imasks[k] & inm:
+                continue
+            got = cover(
+                pos + 1, covered | pmasks[k], inm | rmasks[k], outm | imasks[k]
+            )
+            if got is not None:
+                return got
+        return None
+
+    return cover(0, 0, 0, 0)

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 import golden_data
 import rsys
+from oracles import run_oracle
 from rsys.cli import main
+from rsys.models import load_builtin
+from util import plain_reactions
 
 
 def run(capsys, *argv):
@@ -170,6 +173,30 @@ class TestSimulate:
         )
         assert code == 0
         assert len(csv_rows(out)) == 3
+
+    def test_long_context_file_matches_the_oracle(self, capsys, tmp_path):
+        # 380 contexts: longer than 2^RES_CHUNK_BITS, so the replay runs
+        # through the lookup tables.
+        ctx = tmp_path / "ctx.txt"
+        ctx.write_text(
+            "{GF} x300\n{GF, iPI3K} x40\n{}\n{GF, PRAS40} x31\n"
+            "{GF, iPI3K, icycE} x8\n"
+        )
+        code, out, _ = run(
+            capsys,
+            "simulate", "oncogenic", str(ctx),
+            "--initial", "S19", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        corpus = load_builtin()
+        expected = run_oracle(
+            plain_reactions(corpus.model.system),
+            [frozenset(c) for c in payload["contexts"]],
+            frozenset(corpus.named_states["S19"].members),
+        )
+        assert len(expected) == 380
+        assert [frozenset(d) for d in payload["results"]] == expected
 
     def test_json_format(self, capsys):
         code, out, _ = run(

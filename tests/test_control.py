@@ -89,8 +89,37 @@ class TestConstraints:
     def test_oversized_universe_refused_with_exact_count(self):
         names = [f"s{k}" for k in range(21)]
         system = make_system(names, [({"s0"}, set(), {"s1"})])
-        with pytest.raises(RefusalError, match="2097152 contexts"):
+        with pytest.raises(RefusalError, match="2097152 contexts") as err:
             allowed_contexts(system, AllowedSet(system.species.full_set))
+        assert "pass a larger limit" in str(err.value)
+        assert len(allowed_contexts(system, MaxCardinality(1), limit=22)) == 22
+
+    @pytest.mark.parametrize(
+        "scope, budget",
+        [(None, None), (Sampled(3), None), (Exhaustive(), 10)],
+        ids=["find_witness", "sampled", "budgeted"],
+    )
+    def test_listing_calls_refuse_without_suggesting_a_limit(self, scope, budget):
+        # These calls list the contexts but take no limit, so the refusal
+        # must not offer to raise one.
+        names = [f"s{k}" for k in range(21)]
+        system = make_system(names, [])
+        table = system.species
+        constraint = AllowedSet(table.full_set)
+        with pytest.raises(RefusalError, match="2097152 contexts") as err:
+            if scope is None:
+                empty = table.empty_set
+                find_witness(system, ControlQuery(empty, empty, constraint))
+            else:
+                decide_target_controllable(
+                    system,
+                    table.set_of(names[:16]),
+                    constraint,
+                    scope=scope,
+                    node_budget=budget,
+                )
+        assert "limit 1048576" in str(err.value)
+        assert "larger limit" not in str(err.value)
 
     def test_satisfied_by_and_violation(self, t1):
         table = t1.species
@@ -557,6 +586,21 @@ class TestResultGraph:
         system = make_system(names, [])
         verdict = decide_controllable(system, MaxCardinality(1), species_limit=17)
         assert verdict.decision and verdict.pairs_checked == (1 << 17) - 1
+        assert closure_calls == []
+        assert expanded == [0]
+
+    def test_context_count_does_not_limit_the_result_graph(
+        self, closure_calls, expanded
+    ):
+        # 2^21 admitted contexts, none of them listed: the graph reads the
+        # constraint's span, so the enumeration ceiling does not apply.
+        names = [f"s{k}" for k in range(21)]
+        system = make_system(names, [])
+        table = system.species
+        verdict = decide_target_controllable(
+            system, table.set_of(names[:16]), AllowedSet(table.full_set)
+        )
+        assert verdict.decision and verdict.pairs_checked == (1 << 16) - 1
         assert closure_calls == []
         assert expanded == [0]
 

@@ -1,7 +1,12 @@
 """Species tables, sets, reactions, the result map, and process replay."""
 
+import gc
+import random
+
 import pytest
 
+import rsys.core
+from rsys.control import ControlQuery, MaxCardinality, find_witness
 from rsys.core import (
     ContextSequence,
     Reaction,
@@ -16,6 +21,7 @@ from rsys.core import (
     validate_system,
 )
 from rsys.errors import ReactionError, RsysError, SpeciesMismatchError
+from rsys.models import golden_replay, load_builtin
 
 from oracles import res_oracle, run_oracle
 from util import make_system, names_of, plain_reactions
@@ -69,6 +75,10 @@ class TestSpeciesSet:
     def test_members_in_table_order(self):
         table = SpeciesTable(["z", "a", "m"])
         assert table.set_of(["m", "z"]).members == ("z", "m")
+        wide = SpeciesTable([f"s{k}" for k in range(130)][::-1])
+        picked = ["s129", "s64", "s63", "s1", "s0"]
+        assert wide.set_of(reversed(picked)).members == tuple(picked)
+        assert wide.full_set.members == wide.names
 
     def test_repr_and_pretty(self):
         table = SpeciesTable(["Pro", "iPro"])
@@ -119,6 +129,22 @@ class TestReaction:
         table = SpeciesTable(["a"])
         r = Reaction(table.empty_set, table.empty_set, table.set_of(["a"]))
         assert enabled(r, table.empty_set)
+
+    def test_reaction_keeps_masks_not_sets(self):
+        # One object per reaction for the garbage collector to trace; the
+        # parts are built when read and compare as before.
+        table = SpeciesTable(["a", "b", "c"])
+        parts = (["a"], ["b"], ["b", "c"])
+        r = Reaction(*(table.set_of(p) for p in parts), "r1")
+        assert not any(isinstance(x, SpeciesSet) for x in gc.get_referents(r))
+        assert (r.rmask, r.imask, r.pmask) == (0b001, 0b010, 0b110)
+        assert (r.reactants, r.inhibitors, r.products) == tuple(
+            table.set_of(p) for p in parts
+        )
+        assert r.table is table and r.products.table is table
+        twin = Reaction(*(SpeciesTable(["a", "b", "c"]).set_of(p) for p in parts), "r1")
+        assert twin == r and hash(twin) == hash(r)
+        assert twin != Reaction(*(table.set_of(p) for p in parts), "r2")
 
     def test_unchecked_skips_invariants(self):
         table = SpeciesTable(["a"])
@@ -235,6 +261,64 @@ class TestRunProcess:
         seq = ContextSequence(table, [table.set_of(["a"])] * 2)
         trace = run_process(toy, seq)
         assert len(trace) == 2
+
+    # 3 and 100 steps lie on both sides of the 2^RES_CHUNK_BITS crossover.
+    @pytest.mark.parametrize("steps", [3, 100])
+    def test_products_outside_the_table_fail_the_range_check(self, steps):
+        table = SpeciesTable(["a", "b"])
+        wider = SpeciesTable(["a", "b", "c"])
+        stray = Reaction.unchecked(
+            table.set_of(["a"]), table.empty_set, wider.set_of(["c"])
+        )
+        system = ReactionSystem(table, [stray])
+        contexts = [table.empty_set] * (steps - 1) + [table.set_of(["a"])] * 2
+        with pytest.raises(SpeciesMismatchError, match="mask 0x4 out of range"):
+            run_process(system, contexts)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Count the replay lookup tables run_process builds."""
+    calls = []
+    build = rsys.core.res_tables
+
+    def counting(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(rsys.core, "res_tables", counting)
+    return calls
+
+
+class TestReplayTables:
+    def test_short_replays_build_no_tables(self, table_builds):
+        corpus = load_builtin()
+        for name in corpus.traces:
+            assert golden_replay(corpus, name).ok
+        system = corpus.model.system
+        table = system.species
+        s1 = corpus.named_states["S1"]
+        steps = [table.set_of(["GF"])] * 3
+        target = run_process(system, [table.empty_set] + steps, s1).states[-1]
+        witness = find_witness(system, ControlQuery(s1, target, MaxCardinality(1)))
+        assert witness is not None and witness.hit_index <= 3
+        assert table_builds == []
+
+    def test_a_long_replay_builds_them_once(self, table_builds):
+        corpus = load_builtin()
+        system = corpus.model.system
+        table = system.species
+        rng = random.Random(3)
+        contexts = [table.from_mask(rng.getrandbits(len(table))) for _ in range(1500)]
+        trace = run_process(system, contexts)
+        assert table_builds == [len(table)]
+        expected = run_oracle(
+            plain_reactions(system), [names_of(c) for c in contexts]
+        )
+        assert [names_of(d) for d in trace.results] == expected
+        # Equal results after the first are one shared object.
+        later = trace.results[1:]
+        assert len({id(d) for d in later}) == len({d.mask for d in later})
 
 
 class TestValidateSystem:

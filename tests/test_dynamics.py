@@ -1,6 +1,7 @@
 """Orbits, context graphs, image membership, nonce extensions."""
 
 import random
+import sys
 
 import pytest
 
@@ -184,6 +185,36 @@ class TestImageMembership:
 
     def test_empty_set_always_in_image_without_spontaneous_reactions(self, toy):
         assert image_membership(toy, toy.species.empty_set) is not None
+
+    @pytest.mark.parametrize("fn", [image_membership, superset_image_membership])
+    def test_search_stops_a_branch_with_an_unproducible_species(self, fn):
+        # Both candidates of each x_i pin `a` OUT, and y needs `a` IN, so
+        # no target containing y is producible. y comes last in bit order:
+        # a search that noticed this only on reaching y would try all 2^k
+        # choices for the x_i; one that checks the open species gives up
+        # at the first node it visits after its first dead end.
+        k = 14
+        xs = [f"x{i}" for i in range(k)]
+        bs = [f"b{i}" for i in range(k)]
+        triples = [({"a"}, set(), {"y"})]
+        for x, b in zip(xs, bs):
+            triples += [(set(), {"a"}, {x}), (set(), {"a", b}, {x})]
+        system = make_system(xs + ["y", "a"] + bs, triples)
+        target = system.species.set_of(xs + ["y"])
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_name == "cover":
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            cert = fn(system, target)
+        finally:
+            sys.setprofile(None)
+        assert cert is None
+        assert calls <= 4 * k
 
 
 class TestNonceExtension:

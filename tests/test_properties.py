@@ -19,6 +19,7 @@ from rsys.control import (
     verify_witness,
 )
 from rsys.core import (
+    RES_CHUNK_BITS,
     Reaction,
     ReactionSystem,
     SpeciesTable,
@@ -105,6 +106,52 @@ class TestProcessSemantics:
         assert [names_of(d) for d in trace.results] == expected
         assert len(trace) == n_steps
         assert trace.initial_mode == ("given" if use_initial else "context")
+
+    @given(data=st.data())
+    @relaxed
+    def test_long_replays_match_the_oracle(self, data):
+        # Up to 2^W contexts replay per reaction, longer ones through the
+        # lookup tables (W = RES_CHUNK_BITS). Tables of 65-130 species
+        # exceed the compiled kernel's 64 bits; W-1, W and W+1 species or
+        # reactions leave the last table chunk short, full or one bit over.
+        w = RES_CHUNK_BITS
+        edges = [w - 1, w, w + 1]
+        n = data.draw(
+            st.one_of(st.sampled_from(edges), st.integers(1, 130)), label="species"
+        )
+        m = data.draw(
+            st.one_of(st.sampled_from([0] + edges), st.integers(0, 130)),
+            label="reactions",
+        )
+        steps = data.draw(
+            st.one_of(st.sampled_from([1 << w, (1 << w) + 1]), st.integers(1, 200)),
+            label="steps",
+        )
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        names = [f"s{k}" for k in range(n)]
+        triples = []
+        for _ in range(m):
+            r = set(rng.sample(names, rng.randint(0, min(3, n))))
+            rest = [x for x in names if x not in r]
+            i = set(rng.sample(rest, rng.randint(0, min(2, len(rest)))))
+            p = set(rng.sample(names, rng.randint(1, min(3, n))))
+            triples.append((r, i, p))
+        system = make_system(names, triples)
+        table = system.species
+        contexts = []
+        for _ in range(steps):
+            mask = rng.getrandbits(n)
+            if rng.random() < 0.5:  # sparser, so fewer inhibitors block
+                mask &= rng.getrandbits(n)
+            contexts.append(table.from_mask(mask))
+        initial = table.from_mask(rng.getrandbits(n)) if rng.random() < 0.5 else None
+        trace = run_process(system, contexts, initial_result=initial)
+        expected = oracles.run_oracle(
+            plain_reactions(system),
+            [names_of(c) for c in contexts],
+            None if initial is None else names_of(initial),
+        )
+        assert [names_of(d) for d in trace.results] == expected
 
     @given(data=st.data(), system=systems())
     @relaxed
@@ -535,6 +582,60 @@ class TestImageMembership:
         assert (cert is not None) == any(target <= v for v in image)
         if cert is not None:
             assert target <= names_of(result_all(system, cert.preimage))
+
+    @given(data=st.data(), system=systems(max_species=5, max_reactions=8))
+    @relaxed
+    def test_pruning_keeps_the_first_solution(self, data, system):
+        table = system.species
+        target = table.set_of(data.draw(st.sets(st.sampled_from(table.names))))
+        for fn, exact in ((image_membership, True), (superset_image_membership, False)):
+            cert = fn(system, target)
+            want = oracles.cover_search_oracle(
+                system.rmasks, system.imasks, system.pmasks, target.mask, exact
+            )
+            assert (None if cert is None else cert.preimage.mask) == want
+
+    def test_pruning_keeps_the_first_solution_on_networks(self):
+        # Imported networks are where the plain search backtracks most:
+        # every reaction has one product and reaction terms share species.
+        rng = random.Random(2207)
+        for _ in range(40):
+            net = oracles.random_dnf_network(rng, rng.randint(10, 18))
+            # Names end in a letter: the reaction labels of v1's second
+            # term and v12's only term would both read rv12.
+            text = "\n".join(
+                f"{var}x = "
+                + " | ".join(
+                    " & ".join(
+                        sorted(v + "x" for v in p) + ["!" + v + "x" for v in sorted(q)]
+                    )
+                    for p, q in terms
+                )
+                for var, terms in net.items()
+            )
+            system = bn_to_reactions(parse_boolean_network(text), blocking=True)
+            table = system.species
+            state = frozenset(rng.sample(sorted(net), len(net) // 2))
+            produced = oracles.bn_step_oracle(net, state)
+            for target in (
+                produced,
+                frozenset(sorted(produced)[::2]),
+                frozenset(rng.sample(sorted(net), len(net) // 3)),
+            ):
+                for fn, exact in (
+                    (image_membership, True),
+                    (superset_image_membership, False),
+                ):
+                    target_set = table.set_of(v + "x" for v in target)
+                    cert = fn(system, target_set)
+                    want = oracles.cover_search_oracle(
+                        system.rmasks, system.imasks, system.pmasks,
+                        target_set.mask, exact,
+                    )
+                    got = None if cert is None else cert.preimage.mask
+                    assert got == want, (text, sorted(target), exact)
+                    if exact and target == produced:
+                        assert got is not None
 
 
 class TestNonceExtension:
