@@ -13,7 +13,7 @@ whenever it is importable and the species table fits in 64 bits.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import _kernel_py
 from .core import ReactionSystem, res_split, res_values
@@ -135,6 +135,14 @@ class Engine:
         return self._image
 
 
+def canonical_sorted(masks: Iterable[int]) -> list[int]:
+    """The masks in canonical order: ascending by (cardinality, value)."""
+    out = sorted(masks)
+    # Two stable sorts with a built-in key: by value, then by cardinality.
+    out.sort(key=int.bit_count)
+    return out
+
+
 def submasks_ascending(universe: int) -> list[int]:
     """All submasks of `universe`, ascending by (cardinality, value)."""
     subs = [0]
@@ -142,7 +150,4 @@ def submasks_ascending(universe: int) -> list[int]:
     while sub:
         subs.append(sub)
         sub = (sub - 1) & universe
-    # Two stable sorts with a built-in key: by value, then by cardinality.
-    subs.sort()
-    subs.sort(key=int.bit_count)
-    return subs
+    return canonical_sorted(subs)

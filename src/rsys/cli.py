@@ -283,7 +283,11 @@ def reach(model: str, query_file: str, node_budget: Optional[int], fmt: str) -> 
     """Search for a steering sequence answering the QUERY file (JSON)."""
     doc, corpus = _load_model(model)
     table = doc.system.species
-    query = query_from_json(json.loads(_read_text(query_file)), table)
+    try:
+        data = json.loads(_read_text(query_file))
+    except RecursionError:
+        raise RsysError(f"invalid JSON: {query_file} nests too deeply") from None
+    query = query_from_json(data, table)
     witness = find_witness(doc.system, query, node_budget=node_budget)
     if witness is None:
         if query.depth_limit is not None:

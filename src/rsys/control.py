@@ -24,14 +24,16 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ._engine import (
     BUDGET_STOP,
     FOUND,
     Engine,
+    canonical_sorted,
     submasks_ascending,
 )
 from .core import (
@@ -66,23 +68,18 @@ def _node_budget(node_budget: Optional[int]) -> int:
 
 
 class ContextConstraint:
-    """Restriction on the contexts a steering sequence may use."""
+    """Restriction on the contexts a steering sequence may use.
+
+    `span(table)` is (union, limit): the admitted contexts are exactly the
+    subsets of `union` with at most `limit` species. `count`,
+    `context_masks` and `satisfied_by` follow from it, so a subclass
+    defines only `span`, `bind_check`, `violation` and `to_json`.
+    """
 
     def bind_check(self, table: SpeciesTable) -> None:
         raise NotImplementedError
 
-    def count(self, table: SpeciesTable) -> int:
-        raise NotImplementedError
-
-    def context_masks(self, table: SpeciesTable) -> list[int]:
-        raise NotImplementedError
-
     def span(self, table: SpeciesTable) -> tuple[int, int]:
-        """(union, limit): the admitted contexts are exactly the subsets of
-        `union` with at most `limit` species."""
-        raise NotImplementedError
-
-    def satisfied_by(self, context: SpeciesSet) -> bool:
         raise NotImplementedError
 
     def violation(self) -> str:
@@ -90,6 +87,28 @@ class ContextConstraint:
 
     def to_json(self) -> dict:
         raise NotImplementedError
+
+    def count(self, table: SpeciesTable) -> int:
+        """How many contexts the constraint admits."""
+        union, limit = self.span(table)
+        k = union.bit_count()
+        if limit >= k:
+            return 1 << k
+        return sum(comb(k, j) for j in range(limit + 1))
+
+    def context_masks(self, table: SpeciesTable) -> list[int]:
+        """The admitted contexts, ascending by (size, encoding)."""
+        union, limit = self.span(table)
+        if limit >= union.bit_count():
+            return submasks_ascending(union)
+        bits = [1 << i for i in range(union.bit_length()) if union >> i & 1]
+        return canonical_sorted(
+            sum(combo) for k in range(limit + 1) for combo in combinations(bits, k)
+        )
+
+    def satisfied_by(self, context: SpeciesSet) -> bool:
+        union, limit = self.span(context.table)
+        return context.mask & ~union == 0 and len(context) <= limit
 
 
 @dataclass(frozen=True)
@@ -109,25 +128,8 @@ class MaxCardinality(ContextConstraint):
                 f"count {len(table)} (the unconstrained case)"
             )
 
-    def count(self, table: SpeciesTable) -> int:
-        return sum(comb(len(table), k) for k in range(self.n + 1))
-
-    def context_masks(self, table: SpeciesTable) -> list[int]:
-        masks: list[int] = []
-        for k in range(self.n + 1):
-            block = [
-                sum(1 << i for i in combo)
-                for combo in combinations(range(len(table)), k)
-            ]
-            block.sort()
-            masks.extend(block)
-        return masks
-
     def span(self, table: SpeciesTable) -> tuple[int, int]:
         return table.full_set.mask, self.n
-
-    def satisfied_by(self, context: SpeciesSet) -> bool:
-        return len(context) <= self.n
 
     def violation(self) -> str:
         return f"context has more than {self.n} species"
@@ -148,17 +150,9 @@ class AllowedSet(ContextConstraint):
                 "allowed set uses a different species table than the system"
             )
 
-    def count(self, table: SpeciesTable) -> int:
-        return 1 << len(self.allowed)
-
-    def context_masks(self, table: SpeciesTable) -> list[int]:
-        return submasks_ascending(self.allowed.mask)
-
     def span(self, table: SpeciesTable) -> tuple[int, int]:
+        self.bind_check(table)
         return self.allowed.mask, len(self.allowed)
-
-    def satisfied_by(self, context: SpeciesSet) -> bool:
-        return context <= self.allowed
 
     def violation(self) -> str:
         return "context not ⊆ I"
@@ -435,28 +429,23 @@ def verify_witness(
         _check_table(c, system, "context")
     eng = Engine(system)
     targets = system.species.full_set if query.targets is None else query.targets
-    if query.initial_mode == "given":
-        steering = seq
-        w = query.source.mask
-    else:
+    first = 1
+    if query.initial_mode == "context":
         if not seq:
             return VerifyResult(False, "no contexts to replay", None)
         if seq[0] != query.source:
             return VerifyResult(
                 False, "first context differs from the source", None
             )
-        if not query.constraint.satisfied_by(seq[0]):
-            return VerifyResult(
-                False, f"{query.constraint.violation()} at step 0", None
-            )
-        steering = seq[1:]
-        w = seq[0].mask
-    states = [w]
-    for k, c in enumerate(steering, start=1):
+        first = 0
+    for k, c in enumerate(seq, start=first):
         if not query.constraint.satisfied_by(c):
             return VerifyResult(
                 False, f"{query.constraint.violation()} at step {k}", None
             )
+    w = query.source.mask
+    states = [w]
+    for c in seq[1 - first :]:
         w = c.mask | eng.res(w)
         states.append(w)
     for r, w in enumerate(states):
@@ -495,12 +484,6 @@ def trivial_witness(
             f"{extra!r})"
         )
     return ControlWitness(contexts=contexts, trace=trace, hit_index=2, visited=3)
-
-
-def _canonical_sorted(masks: Iterable[int]) -> list[int]:
-    out = sorted(masks)
-    out.sort(key=int.bit_count)
-    return out
 
 
 def _decide(
@@ -589,16 +572,14 @@ def _decide(
     # End sets come from the image of the result map; enumerating it can
     # be exponential in the sensed species, so only the exhaustive scope
     # (whose size the ceilings above already bound) may pay for it.
-    projections = {v & t_mask for v in eng.image()}
-    if proviso == "projection":
-        y_masks = _canonical_sorted(projections)
-    else:
+    ends = {v & t_mask for v in eng.image()}
+    if proviso == "superset":
         down: set[int] = set()
-        for proj in projections:
-            if proj in down:
-                continue
-            down.update(submasks_ascending(proj))
-        y_masks = _canonical_sorted(down)
+        for proj in ends:
+            if proj not in down:
+                down.update(submasks_ascending(proj))
+        ends = down
+    y_masks = canonical_sorted(ends)
 
     # Imported here so that commands that never decide do not load it.
     from ._pairscan import ResultGraph, scan_pairs
@@ -677,13 +658,35 @@ def decide_target_controllable(
     )
 
 
-def _target_mask(system: ReactionSystem, targets: Optional[SpeciesSet]) -> int:
-    """The minimal scans' target set, checked once for all their probes;
-    None means every species."""
+def _minimal_probe(
+    system: ReactionSystem,
+    scope: Scope,
+    targets: Optional[SpeciesSet],
+    species_limit: int,
+    frontier_limit: int,
+    node_budget: Optional[int],
+) -> Callable[[ContextConstraint], ControllabilityVerdict]:
+    """The decision a minimal scan repeats with one constraint after
+    another. The budget and target set (None means every species) are
+    checked once, and the probes share one Engine, so its result memo and
+    image carry from probe to probe."""
+    _node_budget(node_budget)
     if targets is None:
-        return system.species.full_set.mask
-    _check_table(targets, system, "target set")
-    return targets.mask
+        t_mask = system.species.full_set.mask
+    else:
+        _check_table(targets, system, "target set")
+        t_mask = targets.mask
+    return partial(
+        _decide,
+        system,
+        t_mask,
+        scope=scope,
+        proviso="projection",
+        species_limit=species_limit,
+        frontier_limit=frontier_limit,
+        node_budget=node_budget,
+        eng=Engine(system),
+    )
 
 
 @dataclass(frozen=True)
@@ -704,22 +707,12 @@ def minimal_n(
 ) -> MinimalNReport:
     """Ascending scan n = 0, 1, …, |S|−1; the first true n is minimal
     because larger bounds only add contexts."""
-    _node_budget(node_budget)
-    t_mask = _target_mask(system, targets)
-    eng = Engine(system)
+    probe = _minimal_probe(
+        system, scope, targets, species_limit, frontier_limit, node_budget
+    )
     verdicts: list[tuple[int, ControllabilityVerdict]] = []
     for n in range(len(system.species)):
-        verdict = _decide(
-            system,
-            t_mask,
-            MaxCardinality(n),
-            scope,
-            "projection",
-            species_limit,
-            frontier_limit,
-            node_budget,
-            eng,
-        )
+        verdict = probe(MaxCardinality(n))
         verdicts.append((n, verdict))
         if verdict.decision:
             return MinimalNReport(n, tuple(verdicts))
@@ -757,23 +750,10 @@ def minimal_I(
     so the result is inclusion-minimal. It need not have minimum size.
     """
     _check_table(start, system, "allowed set")
-    t_mask = _target_mask(system, targets)
-    eng = Engine(system)
-
-    def probe(allowed: SpeciesSet) -> ControllabilityVerdict:
-        return _decide(
-            system,
-            t_mask,
-            AllowedSet(allowed),
-            scope,
-            "projection",
-            species_limit,
-            frontier_limit,
-            node_budget,
-            eng,
-        )
-
-    start_verdict = probe(start)
+    probe = _minimal_probe(
+        system, scope, targets, species_limit, frontier_limit, node_budget
+    )
+    start_verdict = probe(AllowedSet(start))
     if not start_verdict.decision:
         return MinimalSetReport(None, start_verdict)
     table = system.species
@@ -781,7 +761,7 @@ def minimal_I(
     steps: list[tuple[str, bool, ControllabilityVerdict]] = []
     for name in start.members:
         candidate = current - table.set_of([name])
-        verdict = probe(candidate)
+        verdict = probe(AllowedSet(candidate))
         if verdict.decision:
             current = candidate
         steps.append((name, verdict.decision, verdict))

@@ -12,7 +12,7 @@ directive naming variables that are read but never updated (they get no
 update reaction and no blocking species).
 
 Context files (.ctx.txt): one context per line, "{a, b}" or "{}", with an
-optional "xN" repetition suffix.
+optional "xN" repetition suffix; at most CONTEXT_SEQUENCE_LIMIT in all.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .core import (
     SpeciesTable,
 )
 from .errors import FormatError, ReactionError, RsysError, SpeciesMismatchError
+
+CONTEXT_SEQUENCE_LIMIT = 1_000_000
 
 STATUS_NONE = "No proliferation"
 STATUS_PROLIFERATION = "Proliferation"
@@ -396,10 +398,18 @@ def parse_context_sequence(text: str, table: SpeciesTable) -> ContextSequence:
             cset = table.set_of(names)
         except SpeciesMismatchError as exc:
             raise FormatError(str(exc), line_no) from None
-        rep = int(m.group("rep")) if m.group("rep") else 1
-        if rep < 1:
+        digits = (m.group("rep") or "1").lstrip("0")
+        if not digits:
             raise FormatError("repetition must be at least 1", line_no)
-        contexts.extend([cset] * rep)
+        # The digits are counted first: int() refuses over 4,300 of them.
+        if (
+            len(digits) > len(str(CONTEXT_SEQUENCE_LIMIT))
+            or len(contexts) + int(digits) > CONTEXT_SEQUENCE_LIMIT
+        ):
+            raise FormatError(
+                f"sequence longer than {CONTEXT_SEQUENCE_LIMIT} contexts", line_no
+            )
+        contexts.extend([cset] * int(digits))
     if not contexts:
         raise FormatError("no contexts in input")
     return ContextSequence(table, contexts)

@@ -13,6 +13,7 @@ import golden_data
 import rsys
 from oracles import run_oracle
 from rsys.cli import main
+from rsys.formats import CONTEXT_SEQUENCE_LIMIT
 from rsys.models import load_builtin
 from util import plain_reactions
 
@@ -245,6 +246,22 @@ class TestSimulate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("count", [10**20, 10**15])
+    @pytest.mark.parametrize("where", ["inline", "context-file", "state-file"])
+    def test_huge_repetition_is_invalid_input(self, capsys, tmp_path, where, count):
+        text = f"{{GF}} x{count}"
+        argv = ["simulate", "oncogenic", text]
+        if where == "context-file":
+            argv[2] = str(tmp_path / "seq.ctx.txt")
+            (tmp_path / "seq.ctx.txt").write_text(text + "\n")
+        elif where == "state-file":
+            (tmp_path / "state.txt").write_text(text + "\n")
+            argv = ["simulate", "oncogenic", "{GF}", "--initial", f"@{tmp_path}/state.txt"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "longer than 1000000 contexts (line 1)" in err
+        assert "Traceback" not in err
+
 
 class TestOrbit:
     def test_fixed_point_attractor(self, capsys):
@@ -363,6 +380,14 @@ class TestReach:
         code, _, err = run(capsys, "reach", "oncogenic", str(path))
         assert code == 2
         assert "invalid JSON" in err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, "reach", "oncogenic", str(path))
+        assert (code, out) == (2, "")
+        assert "invalid JSON" in err and "nests too deeply" in err
+        assert "Traceback" not in err
 
     def test_missing_field(self, capsys, tmp_path):
         query = write_query(tmp_path, target=["Pro"],
@@ -856,7 +881,13 @@ def cli_runs(draw):
         {"source": mostly(names), "target": mostly(names), "constraint": mostly(constraint)},
         optional={"targets": mostly(names), "depth_limit": mostly(st.integers(1, 4))},
     )
-    contexts = st.lists(names.map(set_text), min_size=1, max_size=3).map("\n".join)
+    # Repetition counts are small or past the sequence limit: up to 10^20
+    # overflows a list size, and 10^15 would exhaust memory.
+    rep = st.integers(0, 3) | st.integers(CONTEXT_SEQUENCE_LIMIT + 1, 10**20)
+    context = st.tuples(names.map(set_text), st.none() | rep).map(
+        lambda pair: pair[0] if pair[1] is None else f"{pair[0]} x{pair[1]}"
+    )
+    contexts = st.lists(context, min_size=1, max_size=3).map("\n".join)
     state = names.map(set_text) | st.sampled_from(["@data", "S19", "x"])
     command = draw(st.sampled_from(["validate", "simulate", "reach", "orbit"]))
     text = query.map(json.dumps) if command == "reach" else contexts
@@ -864,6 +895,7 @@ def cli_runs(draw):
         text.map(str.encode)
         | st.binary(max_size=24)
         | json_values.map(json.dumps).map(str.encode)
+        | st.integers(1, 200_000).map(lambda k: ("[" * k + "]" * k).encode())
     )
     budget = st.none() | st.integers(-1, 40)
     model_file = "model.rs.txt"

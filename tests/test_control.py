@@ -23,7 +23,8 @@ from rsys.control import (
     trivial_witness,
     verify_witness,
 )
-from rsys.errors import BudgetError, RefusalError, RsysError
+from rsys.core import SpeciesTable
+from rsys.errors import BudgetError, RefusalError, RsysError, SpeciesMismatchError
 
 from oracles import (
     random_system,
@@ -130,6 +131,12 @@ class TestConstraints:
         allowed = AllowedSet(table.set_of(["a"]))
         assert not allowed.satisfied_by(table.set_of(["b"]))
         assert "not ⊆ I" in allowed.violation()
+
+    def test_allowed_set_refuses_a_context_over_another_table(self, t1):
+        allowed = AllowedSet(t1.species.set_of(["a"]))
+        other = SpeciesTable(["x", "y", "z"])
+        with pytest.raises(SpeciesMismatchError):
+            allowed.satisfied_by(other.set_of(["x"]))
 
     def test_json_round_trip(self, t1):
         table = t1.species

@@ -7,6 +7,7 @@ import pytest
 from rsys.core import run_process
 from rsys.errors import FormatError, ReactionError
 from rsys.formats import (
+    CONTEXT_SEQUENCE_LIMIT,
     BooleanNetwork,
     ModelDocument,
     blocking_name,
@@ -224,6 +225,26 @@ class TestContextSequences:
         doc = parse_model(TOY)
         with pytest.raises(FormatError, match="repetition"):
             parse_context_sequence("{a} x0\n", doc.system.species)
+
+    @pytest.mark.parametrize("count", ["1" + "0" * 20, "1" + "0" * 15, "9" * 5000])
+    def test_huge_repetition_rejected_with_line(self, count):
+        # Past the sequence limit, the count is refused before any list is
+        # built: 10^20 overflows a list size, 10^15 exhausts memory, and
+        # int() refuses 5,000 digits.
+        doc = parse_model(TOY)
+        with pytest.raises(FormatError, match="longer than 1000000 contexts") as err:
+            parse_context_sequence(f"{{a}}\n{{b}} x{count}\n", doc.system.species)
+        assert err.value.line == 2
+
+    def test_repetitions_add_up_to_the_limit(self):
+        doc = parse_model(TOY)
+        table = doc.system.species
+        half = CONTEXT_SEQUENCE_LIMIT // 2
+        text = f"{{a}} x{half}\n{{b}} x{CONTEXT_SEQUENCE_LIMIT - half}\n"
+        assert len(parse_context_sequence(text, table)) == CONTEXT_SEQUENCE_LIMIT
+        with pytest.raises(FormatError, match="longer than") as err:
+            parse_context_sequence(text + "{c}\n", table)
+        assert err.value.line == 3
 
     def test_no_contexts_rejected(self):
         doc = parse_model(TOY)

@@ -327,6 +327,23 @@ class TestConstraintEnumeration:
         assert got == canonical_subsets(allowed)
 
 
+    @given(data=st.data(), system=systems())
+    @relaxed
+    def test_count_and_membership_agree_with_the_enumeration(self, data, system):
+        table = system.species
+        names = list(table.names)
+        if data.draw(st.booleans()):
+            constraint = MaxCardinality(data.draw(st.integers(0, len(names) - 1)))
+        else:
+            constraint = AllowedSet(table.set_of(data.draw(subsets(names))))
+        masks = constraint.context_masks(table)
+        assert constraint.count(table) == len(masks)
+        admitted = set(masks)
+        for mask in range(1 << len(names)):
+            context = table.from_mask(mask)
+            assert constraint.satisfied_by(context) == (mask in admitted)
+
+
 class TestWitnessSearch:
     @given(data=st.data(), system=systems(max_species=4, max_reactions=4))
     @fewer
