@@ -4,7 +4,8 @@ The engine reads the mask tuples a ReactionSystem builds once, memoizes
 results and the image for the life of one call, and routes hot loops to a
 kernel: the pure `_kernel_py`, or `_kernel_c`, a hand-written C++
 extension with the same contract that `setup.py` builds when a C++
-compiler is present.
+compiler is present. Only the kernel searches (`find_witness` and the
+decisions) build one; plain result-map evaluation calls `core.res_mask`.
 Backend choice: an explicit argument wins, then the RSYS_KERNEL
 environment variable ("pure" or "compiled"), then the compiled kernel
 whenever it is importable and the species table fits in 64 bits.

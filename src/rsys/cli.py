@@ -55,7 +55,15 @@ from .formats import (
     parse_model,
     serialize_model,
 )
-from .models import DATA_FILES, GoldenCorpus, data_text, golden_replay, load_builtin
+from .models import (
+    DATA_FILES,
+    PROLIFERATION_MARKER,
+    UNCONTROLLED_MARKER,
+    GoldenCorpus,
+    data_text,
+    golden_replay,
+    load_builtin,
+)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -123,7 +131,9 @@ def _marker_names(
     spec: Optional[str], table: SpeciesTable, corpus: Optional[GoldenCorpus]
 ) -> list[str]:
     if spec is None:
-        spec = "Pro,uPro" if corpus is not None else ""
+        if corpus is None:
+            return []
+        spec = f"{PROLIFERATION_MARKER},{UNCONTROLLED_MARKER}"
     names = [n.strip() for n in spec.split(",") if n.strip()]
     for n in names:
         table.index(n)

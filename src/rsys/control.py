@@ -43,6 +43,7 @@ from .core import (
     SpeciesSet,
     SpeciesTable,
     _check_table,
+    res_mask,
     run_process,
 )
 from .errors import BudgetError, RefusalError, RsysError, SpeciesMismatchError
@@ -352,6 +353,24 @@ def allowed_contexts(
     return [table.from_mask(m) for m in masks]
 
 
+def _target_mask(system: ReactionSystem, targets: Optional[SpeciesSet]) -> int:
+    """The target set's mask; None means every species, since a full-state
+    goal is the projected goal with every species projected."""
+    if targets is None:
+        return system.species.full_set.mask
+    _check_table(targets, system, "target set")
+    return targets.mask
+
+
+def _bind_query(system: ReactionSystem, query: ControlQuery) -> int:
+    """Check a witness query against the system; return its target mask."""
+    _check_table(query.source, system, "source")
+    _check_table(query.target, system, "target")
+    t_mask = _target_mask(system, query.targets)
+    query.constraint.bind_check(system.species)
+    return t_mask
+
+
 def find_witness(
     system: ReactionSystem,
     query: ControlQuery,
@@ -367,14 +386,9 @@ def find_witness(
     search into a BudgetError instead.
     """
     budget = _node_budget(node_budget)
-    _check_table(query.source, system, "source")
-    _check_table(query.target, system, "target")
-    if query.targets is not None:
-        _check_table(query.targets, system, "target set")
+    t_mask = _bind_query(system, query)
     table = system.species
     ctx_masks = _context_masks(system, query.constraint)
-    # A full-state goal is the projected goal with every species projected.
-    targets = table.full_set if query.targets is None else query.targets
     if query.initial_mode == "context" and not query.constraint.satisfied_by(
         query.source
     ):
@@ -385,7 +399,7 @@ def find_witness(
         [query.source.mask],
         ctx_masks,
         query.target.mask,
-        targets.mask,
+        t_mask,
         depth,
         budget,
     )
@@ -421,14 +435,16 @@ def verify_witness(
     contexts: Union[ContextSequence, Sequence[SpeciesSet], ControlWitness],
 ) -> VerifyResult:
     """Replay a context sequence against a query, reporting the first
-    index where the end condition holds or the first rule it breaks."""
+    index where the end condition holds or the first rule it breaks.
+
+    The query is refused where `find_witness` refuses it; the replay runs
+    on `core.res_mask`, not on the kernel that found the witness."""
     if isinstance(contexts, ControlWitness):
         contexts = contexts.contexts
+    t_mask = _bind_query(system, query)
     seq = tuple(contexts)
     for c in seq:
         _check_table(c, system, "context")
-    eng = Engine(system)
-    targets = system.species.full_set if query.targets is None else query.targets
     first = 1
     if query.initial_mode == "context":
         if not seq:
@@ -446,10 +462,10 @@ def verify_witness(
     w = query.source.mask
     states = [w]
     for c in seq[1 - first :]:
-        w = c.mask | eng.res(w)
+        w = c.mask | res_mask(w, system.rmasks, system.imasks, system.pmasks)
         states.append(w)
     for r, w in enumerate(states):
-        if w & targets.mask == query.target.mask:
+        if w & t_mask == query.target.mask:
             if query.depth_limit is not None and r > query.depth_limit:
                 return VerifyResult(
                     False,
@@ -671,15 +687,10 @@ def _minimal_probe(
     checked once, and the probes share one Engine, so its result memo and
     image carry from probe to probe."""
     _node_budget(node_budget)
-    if targets is None:
-        t_mask = system.species.full_set.mask
-    else:
-        _check_table(targets, system, "target set")
-        t_mask = targets.mask
     return partial(
         _decide,
         system,
-        t_mask,
+        _target_mask(system, targets),
         scope=scope,
         proviso="projection",
         species_limit=species_limit,

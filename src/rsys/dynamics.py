@@ -1,9 +1,10 @@
 """Dynamics under a fixed context: orbits, context graphs, image queries,
 and nonce extensions.
 
-`orbit` iterates in Python through `Engine.res`, the memoized result map,
-and `context_graph` through `core.res_split`, not through a kernel search
-loop. The functions here accept and return species sets, never raw masks.
+Nothing here runs a kernel search: `orbit` and the image queries evaluate
+`core.res_mask` over the system's mask tuples, and `context_graph` expands
+results with `core.res_split`. The functions here accept and return
+species sets, never raw masks.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from ._engine import Engine, submasks_ascending
+from ._engine import submasks_ascending
 from .core import (
     Reaction,
     ReactionSystem,
@@ -69,7 +70,7 @@ def orbit(
         raise RsysError(f"max steps must be at least 0, got {max_steps}")
     _check_table(start, system, "start state")
     _check_table(context, system, "context")
-    eng = Engine(system)
+    rmasks, imasks, pmasks = system.rmasks, system.imasks, system.pmasks
     table = system.species
     ctx = context.mask
     seen: dict[int, int] = {}
@@ -82,7 +83,7 @@ def orbit(
             return Orbit(tuple(states[:split]), tuple(states[split:]), context)
         seen[w] = len(seq)
         seq.append(w)
-        w = ctx | eng.res(w)
+        w = ctx | res_mask(w, rmasks, imasks, pmasks)
     raise BudgetError(
         f"no recurrence within {max_steps} steps", visited=len(seq)
     )
@@ -231,13 +232,13 @@ class PreimageCertificate:
 
 
 def _cover_search(
-    eng: Engine,
+    system: ReactionSystem,
     v_mask: int,
-    candidates_for: dict[int, list[int]],
+    good: Sequence[int],
     bad: Sequence[int],
 ) -> Optional[int]:
-    """Pick an enabled reaction per target species, then neutralise every
-    reaction producing outside the target.
+    """Pick an enabled reaction from `good` per target species, then
+    neutralise every reaction in `bad`.
 
     Assignments pin species IN (part of the preimage) or OUT; species left
     free end up OUT, so the search only has to add inhibitor species for
@@ -252,13 +253,17 @@ def _cover_search(
     with one such candidate left forces that candidate's pins, and one with
     none ends the branch.
     """
-    rm, im, pm = eng.rmasks, eng.imasks, eng.pmasks
+    rm, im, pm = system.rmasks, system.imasks, system.pmasks
     vbits = []
+    candidates_for: dict[int, list[int]] = {}
     m = v_mask
     while m:
         low = m & -m
-        vbits.append(low)
         m ^= low
+        vbits.append(low)
+        candidates_for[low] = [k for k in good if pm[k] & low]
+        if not candidates_for[low]:
+            return None
 
     def fire(k: int, inm: int, outm: int) -> Optional[tuple[int, int]]:
         if rm[k] & outm or im[k] & inm:
@@ -332,77 +337,49 @@ def _cover_search(
     return cover(0, 0, 0, 0)
 
 
+def _preimage_search(
+    system: ReactionSystem, target: SpeciesSet, exact: bool
+) -> Optional[PreimageCertificate]:
+    """Find U with res(U) equal to `target` (`exact`) or a superset of it.
+
+    Every target species needs a covering reaction; an exact image also
+    confines the cover to reactions producing inside the target and
+    disables every reaction that would produce outside it.
+    """
+    _check_table(target, system, "target")
+    rm, im, pm = system.rmasks, system.imasks, system.pmasks
+    v = target.mask
+    reactions = range(len(pm))
+    bad = [k for k in reactions if pm[k] & ~v] if exact else []
+    good = [k for k in reactions if not pm[k] & ~v] if exact else reactions
+    inm = _cover_search(system, v, good, bad)
+    if inm is None:
+        return None
+    res = res_mask(inm, rm, im, pm)
+    if (res if exact else res & v) != v:
+        raise AssertionError("image search produced an invalid preimage")
+    fired = tuple(
+        r
+        for k, r in enumerate(system.reactions)
+        if not (rm[k] & ~inm) and not (im[k] & inm)
+    )
+    return PreimageCertificate(
+        target=target, preimage=system.species.from_mask(inm), fired=fired
+    )
+
+
 def image_membership(
     system: ReactionSystem, target: SpeciesSet
 ) -> Optional[PreimageCertificate]:
-    """Find U with res(U) exactly equal to `target`, or None.
-
-    A solution needs every target species produced by a reaction whose
-    whole product set stays inside the target, and every reaction that
-    would produce outside the target disabled.
-    """
-    _check_table(target, system, "target")
-    eng = Engine(system)
-    v = target.mask
-    n_reactions = len(eng.rmasks)
-    good = [k for k in range(n_reactions) if not (eng.pmasks[k] & ~v)]
-    bad = [k for k in range(n_reactions) if eng.pmasks[k] & ~v]
-    candidates_for: dict[int, list[int]] = {}
-    m = v
-    while m:
-        low = m & -m
-        m ^= low
-        candidates_for[low] = [k for k in good if eng.pmasks[k] & low]
-        if not candidates_for[low]:
-            return None
-    inm = _cover_search(eng, v, candidates_for, bad)
-    if inm is None:
-        return None
-    if eng.res(inm) != v:
-        raise AssertionError("image search produced an invalid preimage")
-    return _certificate(system, eng, target, inm)
+    """Find U with res(U) exactly equal to `target`, or None."""
+    return _preimage_search(system, target, exact=True)
 
 
 def superset_image_membership(
     system: ReactionSystem, target: SpeciesSet
 ) -> Optional[PreimageCertificate]:
-    """Find U with res(U) ⊇ `target`, or None.
-
-    Products outside the target are allowed, so only the covering step is
-    needed.
-    """
-    _check_table(target, system, "target")
-    eng = Engine(system)
-    v = target.mask
-    candidates_for: dict[int, list[int]] = {}
-    m = v
-    while m:
-        low = m & -m
-        m ^= low
-        candidates_for[low] = [
-            k for k in range(len(eng.pmasks)) if eng.pmasks[k] & low
-        ]
-        if not candidates_for[low]:
-            return None
-    inm = _cover_search(eng, v, candidates_for, bad=())
-    if inm is None:
-        return None
-    if eng.res(inm) & v != v:
-        raise AssertionError("image search produced an invalid preimage")
-    return _certificate(system, eng, target, inm)
-
-
-def _certificate(
-    system: ReactionSystem, eng: Engine, target: SpeciesSet, inm: int
-) -> PreimageCertificate:
-    fired = tuple(
-        r
-        for k, r in enumerate(system.reactions)
-        if not (eng.rmasks[k] & ~inm) and not (eng.imasks[k] & inm)
-    )
-    return PreimageCertificate(
-        target=target, preimage=system.species.from_mask(inm), fired=fired
-    )
+    """Find U with res(U) ⊇ `target`, or None."""
+    return _preimage_search(system, target, exact=False)
 
 
 def nonce_extension(

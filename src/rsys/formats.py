@@ -142,6 +142,15 @@ def _split_names(field: str, line_no: int, raw_line: str) -> list[str]:
     return names
 
 
+def _set_metadata(metadata: dict[str, str], head: str, rest: str, line_no: int) -> None:
+    """Record an @name or @description directive; each may appear once."""
+    if not rest:
+        raise FormatError(f"{head} needs a value", line_no)
+    if head[1:] in metadata:
+        raise FormatError(f"duplicate {head} directive", line_no)
+    metadata[head[1:]] = rest
+
+
 def parse_model(text: str) -> ModelDocument:
     """Parse the model grammar into a document; errors carry line numbers."""
     metadata: dict[str, str] = {}
@@ -169,13 +178,8 @@ def parse_model(text: str) -> ModelDocument:
         if line.startswith("@"):
             head, _, rest = line.partition(" ")
             rest = rest.strip()
-            if head == "@name" or head == "@description":
-                key = head[1:]
-                if not rest:
-                    raise FormatError(f"{head} needs a value", line_no)
-                if key in metadata:
-                    raise FormatError(f"duplicate {head} directive", line_no)
-                metadata[key] = rest
+            if head in ("@name", "@description"):
+                _set_metadata(metadata, head, rest, line_no)
             elif head == "@species":
                 if rows:
                     raise FormatError("@species must precede reactions", line_no)
@@ -227,10 +231,6 @@ def parse_model(text: str) -> ModelDocument:
     return ModelDocument(ReactionSystem(table, reactions), metadata)
 
 
-def _render_set(sset: SpeciesSet) -> str:
-    return "{" + ", ".join(sset.members) + "}"
-
-
 def serialize_model(doc: ModelDocument) -> str:
     """Canonical text form; parsing it back yields an equal document.
 
@@ -248,8 +248,7 @@ def serialize_model(doc: ModelDocument) -> str:
         for k, r in enumerate(doc.system.reactions):
             label = r.label or f"r{k + 1}"
             out.append(
-                f"{label}: {_render_set(r.reactants)} | "
-                f"{_render_set(r.inhibitors)} -> {_render_set(r.products)}"
+                f"{label}: {r.reactants!r} | {r.inhibitors!r} -> {r.products!r}"
             )
     return "\n".join(out) + "\n"
 
@@ -275,9 +274,7 @@ def parse_boolean_network(text: str) -> BooleanNetwork:
                         raise FormatError(f"duplicate input {name!r}", line_no)
                     inputs.append(name)
             elif head in ("@name", "@description"):
-                if not rest:
-                    raise FormatError(f"{head} needs a value", line_no)
-                metadata[head[1:]] = rest
+                _set_metadata(metadata, head, rest, line_no)
             else:
                 raise FormatError(f"unknown directive {head!r}", line_no, 1)
             continue

@@ -24,6 +24,12 @@ from rsys.control import (
     verify_witness,
 )
 from rsys.core import SpeciesTable
+from rsys.dynamics import (
+    context_graph,
+    image_membership,
+    orbit,
+    superset_image_membership,
+)
 from rsys.errors import BudgetError, RefusalError, RsysError, SpeciesMismatchError
 
 from oracles import (
@@ -52,6 +58,20 @@ def t1():
 @pytest.fixture
 def chain():
     return make_system(["a", "b", "c"], CHAIN)
+
+
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """Records one entry per Engine built while the test runs."""
+    builds = []
+    build = Engine.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "__init__", counting)
+    return builds
 
 
 def sets(system, *name_groups):
@@ -346,6 +366,40 @@ class TestVerifyWitness:
         w = find_witness(chain, q)
         assert verify_witness(chain, q, w).ok
         assert verify_witness(chain, q, list(w.contexts)).ok
+
+    @pytest.mark.parametrize("replay", [[], [[]], [["a"], ["b"]]])
+    def test_refuses_the_unconstrained_cardinality_bound(self, t1, replay):
+        table = t1.species
+        q = ControlQuery(table.set_of(["a"]), table.full_set, MaxCardinality(3))
+        with pytest.raises(RsysError, match="must stay below the species count"):
+            find_witness(t1, q)
+        with pytest.raises(RsysError, match="must stay below the species count"):
+            verify_witness(t1, q, [table.set_of(c) for c in replay])
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda own, other: ControlQuery(
+                other.set_of(["x"]), other.set_of(["z"]), MaxCardinality(1)
+            ),
+            lambda own, other: ControlQuery(
+                other.set_of(["x"]), own.set_of(["c"]), MaxCardinality(1)
+            ),
+            lambda own, other: ControlQuery(
+                own.set_of(["a"]),
+                other.set_of(["z"]),
+                MaxCardinality(1),
+                targets=other.set_of(["z"]),
+            ),
+        ],
+        ids=["source_and_target", "source", "target_and_target_set"],
+    )
+    def test_refuses_sets_from_another_table(self, t1, query):
+        q = query(t1.species, SpeciesTable(["x", "y", "z"]))
+        with pytest.raises(SpeciesMismatchError):
+            find_witness(t1, q)
+        with pytest.raises(SpeciesMismatchError):
+            verify_witness(t1, q, [t1.species.empty_set])
 
 
 class TestTrivialWitness:
@@ -647,17 +701,42 @@ class TestResultGraph:
     ],
     ids=["minimal_n", "minimal_I"],
 )
-def test_minimal_scan_probes_share_one_engine(monkeypatch, chain, scan):
-    builds = []
-    build = Engine.__init__
-
-    def counting(self, *args, **kwargs):
-        builds.append(1)
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(Engine, "__init__", counting)
+def test_minimal_scan_probes_share_one_engine(engine_builds, chain, scan):
     scan(chain)
-    assert len(builds) == 1
+    assert len(engine_builds) == 1
+
+
+def _witness_query(system):
+    table = system.species
+    return ControlQuery(table.set_of(["a"]), table.set_of(["c"]), MaxCardinality(1))
+
+
+@pytest.mark.parametrize(
+    "call, builds",
+    [
+        (lambda s: orbit(s, s.species.set_of(["a"]), s.species.empty_set), 0),
+        (lambda s: image_membership(s, s.species.set_of(["c"])), 0),
+        (lambda s: superset_image_membership(s, s.species.set_of(["c"])), 0),
+        (lambda s: verify_witness(s, _witness_query(s), [s.species.empty_set]), 0),
+        (lambda s: context_graph(s, s.species.full_set, [s.species.empty_set]), 0),
+        (lambda s: find_witness(s, _witness_query(s)), 1),
+        (lambda s: decide_controllable(s, MaxCardinality(1)), 1),
+        (lambda s: minimal_n(s), 1),
+    ],
+    ids=[
+        "orbit",
+        "image_membership",
+        "superset_image_membership",
+        "verify_witness",
+        "context_graph",
+        "find_witness",
+        "decide_controllable",
+        "minimal_n",
+    ],
+)
+def test_engine_is_built_only_for_kernel_searches(engine_builds, chain, call, builds):
+    call(chain)
+    assert len(engine_builds) == builds
 
 
 class TestMinimalN:

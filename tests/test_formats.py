@@ -139,6 +139,12 @@ class TestParseBooleanNetwork:
         with pytest.raises(FormatError, match="no update formulas"):
             parse_boolean_network("@inputs u\n")
 
+    @pytest.mark.parametrize("head", ["@name", "@description"])
+    def test_repeated_metadata_directive_rejected(self, head):
+        with pytest.raises(FormatError, match=f"duplicate {head} directive") as err:
+            parse_boolean_network(f"{head} a\n{head} b\nx = x\n")
+        assert err.value.line == 2
+
 
 class TestBnToReactions:
     def test_blocking_translation_shape(self):
