@@ -9,151 +9,64 @@ of a state is the union of the products of its enabled reactions, and
 nothing persists on its own. Hot search loops run on a compiled kernel
 when the extension is available (see :mod:`rsys._engine`); set
 ``RSYS_KERNEL=pure`` or ``RSYS_KERNEL=compiled`` to pin the backend.
+
+``import rsys`` executes no submodule. Each name in ``__all__``, and each
+public submodule (``rsys.core``, ``rsys.dynamics``, ...), is resolved on
+first access (PEP 562), so a process pays only for the modules it uses.
 """
 
-from .control import (
-    AllowedSet,
-    ContextConstraint,
-    ControllabilityVerdict,
-    ControlQuery,
-    ControlWitness,
-    Exhaustive,
-    MaxCardinality,
-    MinimalNReport,
-    MinimalSetReport,
-    Sampled,
-    VerifyResult,
-    allowed_contexts,
-    constraint_from_json,
-    decide_controllable,
-    decide_target_controllable,
-    find_witness,
-    minimal_I,
-    minimal_n,
-    query_from_json,
-    trivial_witness,
-    verify_witness,
-)
-from .core import (
-    ContextSequence,
-    ProcessTrace,
-    Reaction,
-    ReactionSystem,
-    SpeciesSet,
-    SpeciesTable,
-    enabled,
-    result_all,
-    result_reaction,
-    run_process,
-    step,
-    validate_system,
-)
-from .dynamics import (
-    ContextGraph,
-    Orbit,
-    PreimageCertificate,
-    attractor_report,
-    context_graph,
-    image_membership,
-    nonce_extension,
-    orbit,
-    superset_image_membership,
-)
-from .errors import (
-    BudgetError,
-    FormatError,
-    ReactionError,
-    RefusalError,
-    RsysError,
-    SpeciesMismatchError,
-)
-from .formats import (
-    BooleanNetwork,
-    ModelDocument,
-    blocking_name,
-    bn_to_reactions,
-    export_trace,
-    parse_boolean_network,
-    parse_context_sequence,
-    parse_model,
-    serialize_model,
-)
-from .models import (
-    GoldenCorpus,
-    GoldenReplayReport,
-    GoldenTrace,
-    StatusLabel,
-    classify_status,
-    golden_replay,
-    load_builtin,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllowedSet",
-    "BooleanNetwork",
-    "BudgetError",
-    "ContextConstraint",
-    "ContextGraph",
-    "ContextSequence",
-    "ControlQuery",
-    "ControlWitness",
-    "ControllabilityVerdict",
-    "Exhaustive",
-    "FormatError",
-    "GoldenCorpus",
-    "GoldenReplayReport",
-    "GoldenTrace",
-    "MaxCardinality",
-    "MinimalNReport",
-    "MinimalSetReport",
-    "ModelDocument",
-    "Orbit",
-    "PreimageCertificate",
-    "ProcessTrace",
-    "Reaction",
-    "ReactionError",
-    "ReactionSystem",
-    "RefusalError",
-    "RsysError",
-    "Sampled",
-    "SpeciesMismatchError",
-    "SpeciesSet",
-    "SpeciesTable",
-    "StatusLabel",
-    "VerifyResult",
-    "allowed_contexts",
-    "attractor_report",
-    "blocking_name",
-    "bn_to_reactions",
-    "classify_status",
-    "constraint_from_json",
-    "context_graph",
-    "decide_controllable",
-    "decide_target_controllable",
-    "enabled",
-    "export_trace",
-    "find_witness",
-    "golden_replay",
-    "image_membership",
-    "load_builtin",
-    "minimal_I",
-    "minimal_n",
-    "nonce_extension",
-    "orbit",
-    "parse_boolean_network",
-    "parse_context_sequence",
-    "parse_model",
-    "query_from_json",
-    "result_all",
-    "result_reaction",
-    "run_process",
-    "serialize_model",
-    "step",
-    "superset_image_membership",
-    "trivial_witness",
-    "validate_system",
-    "verify_witness",
-    "__version__",
-]
+# Public submodule -> the names the package re-exports from it.
+_EXPORTS = {
+    "control": """
+        AllowedSet ContextConstraint ControllabilityVerdict ControlQuery
+        ControlWitness Exhaustive MaxCardinality MinimalNReport
+        MinimalSetReport Sampled VerifyResult allowed_contexts
+        constraint_from_json decide_controllable decide_target_controllable
+        find_witness minimal_I minimal_n query_from_json trivial_witness
+        verify_witness
+    """,
+    "core": """
+        ContextSequence ProcessTrace Reaction ReactionSystem SpeciesSet
+        SpeciesTable enabled result_all result_reaction run_process step
+        validate_system
+    """,
+    "dynamics": """
+        ContextGraph Orbit PreimageCertificate attractor_report context_graph
+        image_membership nonce_extension orbit superset_image_membership
+    """,
+    "errors": """
+        BudgetError FormatError ReactionError RefusalError RsysError
+        SpeciesMismatchError
+    """,
+    "formats": """
+        BooleanNetwork ModelDocument blocking_name bn_to_reactions
+        export_trace parse_boolean_network parse_context_sequence parse_model
+        serialize_model
+    """,
+    "models": """
+        GoldenCorpus GoldenReplayReport GoldenTrace StatusLabel
+        classify_status golden_replay load_builtin
+    """,
+}
+
+_MODULE_OF = {
+    name: module for module, names in _EXPORTS.items() for name in names.split()
+}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

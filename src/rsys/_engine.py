@@ -14,10 +14,11 @@ whenever it is importable and the species table fits in 64 bits.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import _kernel_py
 from .core import ReactionSystem, res_split, res_values
+from .core import submasks_ascending  # noqa: F401  (re-exported for callers)
 from .errors import RsysError
 
 try:
@@ -134,21 +135,3 @@ class Engine:
             base, rest = res_split(0, full, self.rmasks, self.imasks, self.pmasks)
             self._image = frozenset(res_values(base, rest, full, full.bit_count()))
         return self._image
-
-
-def canonical_sorted(masks: Iterable[int]) -> list[int]:
-    """The masks in canonical order: ascending by (cardinality, value)."""
-    out = sorted(masks)
-    # Two stable sorts with a built-in key: by value, then by cardinality.
-    out.sort(key=int.bit_count)
-    return out
-
-
-def submasks_ascending(universe: int) -> list[int]:
-    """All submasks of `universe`, ascending by (cardinality, value)."""
-    subs = [0]
-    sub = universe
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & universe
-    return canonical_sorted(subs)

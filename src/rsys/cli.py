@@ -9,10 +9,17 @@ States on the command line are inline sets (``"{GF, iPI3K}"``), file
 references (``@path``), or named corpus states (``@S19`` or bare
 ``S19``) when the bundled model is loaded. Context sequences are inline
 text (``"{GF} x19"``, ``;`` separates lines) or a file path.
+
+A command executes only the modules it uses. This module imports
+``core``, ``errors`` and ``formats``; ``models``, ``dynamics`` and
+``control`` are registered in ``sys.modules`` at import but run on first
+use, so ``import-bn`` and ``validate FILE`` never run the search code, and
+only ``decide`` loads ``_pairscan``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import sys
@@ -21,29 +28,14 @@ from typing import Optional
 import click
 
 from . import __version__
-from .control import (
-    FRONTIER_LIMIT_DEFAULT,
-    SPECIES_LIMIT_DEFAULT,
-    AllowedSet,
-    ContextConstraint,
-    Exhaustive,
-    MaxCardinality,
-    Sampled,
-    decide_controllable,
-    decide_target_controllable,
-    find_witness,
-    minimal_I,
-    minimal_n,
-    query_from_json,
-)
-from .core import SpeciesSet, SpeciesTable, run_process, validate_system
-from .dynamics import (
+from .core import (
     INPUT_SET_LIMIT,
     MAX_STEPS_DEFAULT,
     NODE_BUDGET_DEFAULT,
-    attractor_report,
-    context_graph,
-    orbit as orbit_of,
+    SpeciesSet,
+    SpeciesTable,
+    run_process,
+    validate_system,
 )
 from .errors import BudgetError, RsysError
 from .formats import (
@@ -55,15 +47,27 @@ from .formats import (
     parse_model,
     serialize_model,
 )
-from .models import (
-    DATA_FILES,
-    PROLIFERATION_MARKER,
-    UNCONTROLLED_MARKER,
-    GoldenCorpus,
-    data_text,
-    golden_replay,
-    load_builtin,
-)
+
+
+def _lazy_module(name: str):
+    """Register `rsys.<name>` in sys.modules without executing it; it runs
+    on its first attribute access. Unlike a function-local import, this
+    leaves every module the CLI uses in sys.modules once this one is
+    imported."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+control = _lazy_module("control")
+dynamics = _lazy_module("dynamics")
+models = _lazy_module("models")
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -86,10 +90,10 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_model(token: str) -> tuple[ModelDocument, Optional[GoldenCorpus]]:
+def _load_model(token: str) -> tuple[ModelDocument, Optional[models.GoldenCorpus]]:
     """Resolve a model argument: the bundled corpus name or a file path."""
     if token == BUILTIN_NAME:
-        corpus = load_builtin()
+        corpus = models.load_builtin()
         return corpus.model, corpus
     return parse_model(_read_text(token)), None
 
@@ -102,7 +106,7 @@ def _parse_one_set(text: str, table: SpeciesTable, what: str) -> SpeciesSet:
 
 
 def _parse_state(
-    token: str, table: SpeciesTable, corpus: Optional[GoldenCorpus], what: str
+    token: str, table: SpeciesTable, corpus: Optional[models.GoldenCorpus], what: str
 ) -> SpeciesSet:
     """Resolve a state token: inline set, @file, or named corpus state."""
     token = token.strip()
@@ -128,12 +132,12 @@ def _parse_contexts(token: str, table: SpeciesTable):
 
 
 def _marker_names(
-    spec: Optional[str], table: SpeciesTable, corpus: Optional[GoldenCorpus]
+    spec: Optional[str], table: SpeciesTable, corpus: Optional[models.GoldenCorpus]
 ) -> list[str]:
     if spec is None:
         if corpus is None:
             return []
-        spec = f"{PROLIFERATION_MARKER},{UNCONTROLLED_MARKER}"
+        spec = f"{models.PROLIFERATION_MARKER},{models.UNCONTROLLED_MARKER}"
     names = [n.strip() for n in spec.split(",") if n.strip()]
     for n in names:
         table.index(n)
@@ -141,7 +145,7 @@ def _marker_names(
 
 
 def _marker_sets(
-    spec: Optional[str], table: SpeciesTable, corpus: Optional[GoldenCorpus]
+    spec: Optional[str], table: SpeciesTable, corpus: Optional[models.GoldenCorpus]
 ) -> Optional[tuple[SpeciesSet, SpeciesSet]]:
     names = _marker_names(spec, table, corpus)
     if not names:
@@ -151,7 +155,7 @@ def _marker_sets(
     return (pro, unc)
 
 
-def _parse_constraint(spec: str, table: SpeciesTable) -> ContextConstraint:
+def _parse_constraint(spec: str, table: SpeciesTable) -> control.ContextConstraint:
     """Parse ``max-cardinality=N`` or ``allowed-set={A, B}``."""
     kind, sep, value = spec.partition("=")
     kind = kind.strip().lower().replace("_", "-")
@@ -165,9 +169,9 @@ def _parse_constraint(spec: str, table: SpeciesTable) -> ContextConstraint:
             n = int(value)
         except ValueError:
             raise RsysError(f"bad constraint cardinality {value!r}") from None
-        constraint: ContextConstraint = MaxCardinality(n)
+        constraint: control.ContextConstraint = control.MaxCardinality(n)
     elif kind in ("allowed-set", "allowed", "i"):
-        constraint = AllowedSet(_parse_one_set(value, table, "allowed set"))
+        constraint = control.AllowedSet(_parse_one_set(value, table, "allowed set"))
     else:
         raise RsysError(f"unknown constraint kind {kind!r}")
     constraint.bind_check(table)
@@ -259,14 +263,14 @@ def orbit(
     table = doc.system.species
     context = _parse_state(context_spec, table, corpus, "context")
     start = _parse_state(start_spec, table, corpus, "start state")
-    orb = orbit_of(doc.system, start, context, max_steps=max_steps)
+    orb = dynamics.orbit(doc.system, start, context, max_steps=max_steps)
     click.echo(f"start: {start!r}")
     click.echo(f"context: {context!r}")
     click.echo(f"transient length: {len(orb.transient)}")
     click.echo(f"period: {orb.period}")
     marker_names = _marker_names(markers, table, corpus)
     if marker_names:
-        counts = attractor_report(orb, marker_names)
+        counts = dynamics.attractor_report(orb, marker_names)
         for name in marker_names:
             click.echo(f"cycle states with {name}: {counts[name]}")
         neither = sum(
@@ -297,8 +301,8 @@ def reach(model: str, query_file: str, node_budget: Optional[int], fmt: str) -> 
         data = json.loads(_read_text(query_file))
     except RecursionError:
         raise RsysError(f"invalid JSON: {query_file} nests too deeply") from None
-    query = query_from_json(data, table)
-    witness = find_witness(doc.system, query, node_budget=node_budget)
+    query = control.query_from_json(data, table)
+    witness = control.find_witness(doc.system, query, node_budget=node_budget)
     if witness is None:
         if query.depth_limit is not None:
             click.echo(f"no witness within depth {query.depth_limit}")
@@ -389,13 +393,13 @@ def decide(
     system = doc.system
     table = system.species
     scope = (
-        Sampled(sample, 0 if seed is None else seed)
+        control.Sampled(sample, 0 if seed is None else seed)
         if sample is not None
-        else Exhaustive()
+        else control.Exhaustive()
     )
     if species_limit is None:
-        species_limit = len(table) if force else SPECIES_LIMIT_DEFAULT
-    frontier_limit = len(table) if force else FRONTIER_LIMIT_DEFAULT
+        species_limit = len(table) if force else control.SPECIES_LIMIT_DEFAULT
+    frontier_limit = len(table) if force else control.FRONTIER_LIMIT_DEFAULT
     targets = (
         _parse_state(targets_spec, table, corpus, "target set")
         if targets_spec is not None
@@ -409,7 +413,7 @@ def decide(
 
     def describe(verdict) -> None:
         click.echo(f"controllable: {'true' if verdict.decision else 'false'}")
-        if verdict.decision and isinstance(scope, Sampled):
+        if verdict.decision and isinstance(scope, control.Sampled):
             click.echo(
                 f"no counterexample found among {verdict.pairs_checked} pairs"
             )
@@ -420,7 +424,7 @@ def decide(
             click.echo(f"counterexample: X={x!r} Y={y!r}")
 
     if minimal_n_flag:
-        report = minimal_n(
+        report = control.minimal_n(
             system, targets=targets, frontier_limit=frontier_limit, **common
         )
         for n, verdict in report.verdicts:
@@ -434,7 +438,7 @@ def decide(
         return EXIT_OK if report.minimal is not None else EXIT_FALSE
     if minimal_i_spec is not None:
         start = _parse_one_set(minimal_i_spec, table, "allowed set")
-        report = minimal_I(
+        report = control.minimal_I(
             system, start, targets=targets, frontier_limit=frontier_limit, **common
         )
         if report.minimal is None:
@@ -447,8 +451,8 @@ def decide(
         return EXIT_OK
     constraint = _parse_constraint(constraint_spec, table)
     if check_ts_equivalence:
-        plain = decide_controllable(system, constraint, **common)
-        projected = decide_target_controllable(
+        plain = control.decide_controllable(system, constraint, **common)
+        projected = control.decide_target_controllable(
             system,
             table.full_set,
             constraint,
@@ -465,9 +469,9 @@ def decide(
         click.echo("identical verdicts" if same else "VERDICTS DIFFER")
         return EXIT_OK if same else EXIT_FALSE
     if targets is None:
-        verdict = decide_controllable(system, constraint, **common)
+        verdict = control.decide_controllable(system, constraint, **common)
     else:
-        verdict = decide_target_controllable(
+        verdict = control.decide_target_controllable(
             system,
             targets,
             constraint,
@@ -515,7 +519,7 @@ def graph(
     table = doc.system.species
     input_set = _parse_state(input_spec, table, corpus, "input set")
     seeds = [_parse_state(s, table, corpus, "seed state") for s in seed_specs]
-    g = context_graph(
+    g = dynamics.context_graph(
         doc.system,
         input_set,
         seeds,
@@ -539,12 +543,12 @@ def graph(
               help="Write the bundled data files into this directory.")
 def corpus(dump_dir: Optional[str]) -> int:
     """Show (or dump) the bundled model and its reference traces."""
-    bundle = load_builtin()
+    bundle = models.load_builtin()
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
-        for filename in DATA_FILES:
+        for filename in models.DATA_FILES:
             path = os.path.join(dump_dir, filename)
-            _write_text(path, data_text(filename))
+            _write_text(path, models.data_text(filename))
             click.echo(f"wrote {path}")
         return EXIT_OK
     click.echo(f"model: {bundle.model.name}")
@@ -553,7 +557,7 @@ def corpus(dump_dir: Optional[str]) -> int:
     click.echo(f"named states: {len(bundle.named_states)}")
     all_ok = True
     for name in sorted(bundle.traces):
-        report = golden_replay(bundle, name)
+        report = models.golden_replay(bundle, name)
         status = "pass" if report.ok else "FAIL"
         click.echo(f"{name}: {status} ({len(report.trace)} steps)")
         all_ok = all_ok and report.ok

@@ -29,13 +29,7 @@ from math import comb
 from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
-from ._engine import (
-    BUDGET_STOP,
-    FOUND,
-    Engine,
-    canonical_sorted,
-    submasks_ascending,
-)
+from ._engine import BUDGET_STOP, FOUND, Engine
 from .core import (
     ContextSequence,
     ProcessTrace,
@@ -43,8 +37,10 @@ from .core import (
     SpeciesSet,
     SpeciesTable,
     _check_table,
+    canonical_sorted,
     res_mask,
     run_process,
+    submasks_ascending,
 )
 from .errors import BudgetError, RefusalError, RsysError, SpeciesMismatchError
 from .formats import export_trace

@@ -13,6 +13,12 @@ from .errors import ReactionError, RsysError, SpeciesMismatchError
 
 NAME_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+# Defaults of the `rsys.dynamics` searches. They live here because the CLI
+# reads them when it declares its options, before it loads `dynamics`.
+INPUT_SET_LIMIT = 20
+NODE_BUDGET_DEFAULT = 4096
+MAX_STEPS_DEFAULT = 100_000
+
 
 def _valid_name(name: object) -> bool:
     return isinstance(name, str) and NAME_PATTERN.match(name) is not None
@@ -460,6 +466,24 @@ def _check_table(sset: SpeciesSet, system: ReactionSystem, what: str) -> None:
         raise SpeciesMismatchError(
             f"{what} uses a different species table than the system"
         )
+
+
+def canonical_sorted(masks: Iterable[int]) -> list[int]:
+    """The masks in canonical order: ascending by (cardinality, value)."""
+    out = sorted(masks)
+    # Two stable sorts with a built-in key: by value, then by cardinality.
+    out.sort(key=int.bit_count)
+    return out
+
+
+def submasks_ascending(universe: int) -> list[int]:
+    """All submasks of `universe`, ascending by (cardinality, value)."""
+    subs = [0]
+    sub = universe
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & universe
+    return canonical_sorted(subs)
 
 
 def res_mask(

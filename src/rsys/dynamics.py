@@ -13,8 +13,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from ._engine import submasks_ascending
 from .core import (
+    INPUT_SET_LIMIT,
+    MAX_STEPS_DEFAULT,
+    NODE_BUDGET_DEFAULT,
     Reaction,
     ReactionSystem,
     SpeciesSet,
@@ -22,12 +24,10 @@ from .core import (
     _check_table,
     res_mask,
     res_split,
+    submasks_ascending,
 )
 from .errors import BudgetError, RefusalError, RsysError
 
-INPUT_SET_LIMIT = 20
-NODE_BUDGET_DEFAULT = 4096
-MAX_STEPS_DEFAULT = 100_000
 FULL_EXTENSION_LIMIT = 10
 
 

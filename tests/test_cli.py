@@ -1,9 +1,8 @@
 """Command-line behaviour: exit codes, output shapes, determinism."""
 
+import importlib.util
 import json
-import os
-import subprocess
-import sys
+import re
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -15,7 +14,7 @@ from oracles import run_oracle
 from rsys.cli import main
 from rsys.formats import CONTEXT_SEQUENCE_LIMIT
 from rsys.models import load_builtin
-from util import plain_reactions
+from util import fresh_python, plain_reactions
 
 
 def run(capsys, *argv):
@@ -806,30 +805,108 @@ class TestTopLevel:
         assert code == 2
         assert "must be at least 0, got -1" in err
 
-    def test_import_starts_no_thread_pool_machinery(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(rsys.__file__)))
-        probe = "import sys, rsys.cli; print('concurrent.futures' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert done.stdout.strip() == "False"
+    @pytest.mark.parametrize(
+        "command, option, name",
+        [
+            ("orbit", "--max-steps", "MAX_STEPS_DEFAULT"),
+            ("graph", "--node-budget", "NODE_BUDGET_DEFAULT"),
+            ("graph", "--input-limit", "INPUT_SET_LIMIT"),
+        ],
+    )
+    def test_help_shows_the_dynamics_defaults(self, capsys, command, option, name):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        shown = re.search(rf"{option} INTEGER +\[default: (\d+)\]", out)
+        assert shown is not None
+        assert int(shown.group(1)) == getattr(rsys.dynamics, name)
 
-    def test_import_leaves_the_pair_scan_unloaded(self):
-        # Only a decision loads (and, without bytecode caching, compiles) it.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(rsys.__file__)))
-        probe = "import sys, rsys.cli; print('rsys._pairscan' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            check=True,
+    def test_import_starts_no_thread_pool_machinery(self):
+        probe = "import sys, rsys.cli; print('concurrent.futures' in sys.modules)"
+        assert fresh_python(probe).stdout.strip() == "False"
+
+
+# Which rsys modules a process executes. `rsys.cli` registers `control`,
+# `dynamics` and `models` lazily: such a module sits in sys.modules before
+# it runs, and its type becomes exactly `types.ModuleType` once it has run.
+LOADED_PROBE = """
+import json, sys, types
+{code}
+loaded = {{n: m for n, m in sys.modules.items() if n.split(".")[0] == "rsys"}}
+ran = sorted(n for n, m in loaded.items() if type(m) is types.ModuleType)
+print(json.dumps([ran, sorted(set(loaded) - set(ran))]), file=sys.stderr)
+"""
+CLI_EAGER = ["rsys", "rsys.cli", "rsys.core", "rsys.errors", "rsys.formats"]
+CLI_LAZY = ["rsys.control", "rsys.dynamics", "rsys.models"]
+# `models` reads the bundled files through the `rsys.data` package.
+MODELS = ["rsys.data", "rsys.models"]
+# The compiled kernel runs with `_engine` wherever it is built in place.
+KERNEL = ["rsys._engine", "rsys._kernel_py"] + (
+    ["rsys._kernel_c"] if importlib.util.find_spec("rsys._kernel_c") else []
+)
+# Command line -> the modules it executes beyond CLI_EAGER.
+SUBCOMMAND_MODULES = {
+    "help": (["--help"], []),
+    "import-bn": (["import-bn", "toy.bn.txt"], []),
+    "validate-file": (["validate", "chain.rs.txt"], []),
+    "simulate-file": (["simulate", "chain.rs.txt", "{a}; {}"], []),
+    "validate-oncogenic": (["validate", "oncogenic"], MODELS),
+    "simulate-oncogenic": (
+        ["simulate", "oncogenic", "{GF}", "--initial", "S19"],
+        MODELS,
+    ),
+    "corpus": (["corpus"], MODELS),
+    "orbit-file": (
+        ["orbit", "chain.rs.txt", "--context", "{a}", "--start", "{}"],
+        ["rsys.dynamics"],
+    ),
+    "orbit-oncogenic": (
+        ["orbit", "oncogenic", "--context", "{GF}", "--start", "S19"],
+        ["rsys.dynamics"] + MODELS,
+    ),
+    "graph-file": (
+        ["graph", "chain.rs.txt", "--input-set", "{a}", "--seeds", "{}"],
+        ["rsys.dynamics"],
+    ),
+    "reach-file": (["reach", "chain.rs.txt", "query.json"], ["rsys.control"] + KERNEL),
+    "decide-file": (
+        ["decide", "chain.rs.txt", "--constraint", "max-cardinality=1"],
+        ["rsys.control", "rsys._pairscan"] + KERNEL,
+    ),
+}
+
+
+def modules_run(code, *args, cwd=None):
+    """(executed, registered but not executed) rsys modules after `code`."""
+    done = fresh_python(LOADED_PROBE.format(code=code), *args, cwd=cwd)
+    ran, waiting = json.loads(done.stderr.splitlines()[-1])
+    return set(ran), set(waiting)
+
+
+class TestModuleLoading:
+    def test_import_rsys_executes_no_submodule(self):
+        assert modules_run("import rsys") == ({"rsys"}, set())
+
+    def test_cli_import_registers_the_lazy_modules_unexecuted(self):
+        # rsysbench's tracer finds every module it patches in sys.modules
+        # right after `import rsys.cli`.
+        assert modules_run("import rsys.cli") == (set(CLI_EAGER), set(CLI_LAZY))
+
+    @pytest.mark.parametrize("case", list(SUBCOMMAND_MODULES))
+    def test_subcommand_executes_only_its_modules(
+        self, tmp_path, chain_file, bn_file, case
+    ):
+        # Without bytecode caching every executed module is also compiled,
+        # so each one here is start-up time the command pays.
+        write_query(
+            tmp_path,
+            source=["a"],
+            target=["c"],
+            constraint={"kind": "max-cardinality", "n": 1},
         )
-        assert done.stdout.strip() == "False"
+        argv, extra = SUBCOMMAND_MODULES[case]
+        code = "import rsys.cli; assert rsys.cli.main(sys.argv[1:]) == 0"
+        ran, _ = modules_run(code, *argv, cwd=tmp_path)
+        assert ran == set(CLI_EAGER + extra)
 
 
 FUZZ_SPECIES = ("a", "b", "c", "d", "e", "f")

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
+import rsys
 from rsys.core import Reaction, ReactionSystem, SpeciesSet, SpeciesTable
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(rsys.__file__)))
 
 
 def make_system(names, triples, labels=None) -> ReactionSystem:
@@ -47,3 +54,16 @@ def canonical_subsets(names):
         )
     out.sort(key=lambda t: (t[0], t[1]))
     return [t[2] for t in out]
+
+
+def fresh_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a new interpreter that imports this
+    checkout's `rsys` and writes no bytecode into it."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
