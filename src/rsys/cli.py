@@ -10,6 +10,15 @@ references (``@path``), or named corpus states (``@S19`` or bare
 ``S19``) when the bundled model is loaded. Context sequences are inline
 text (``"{GF} x19"``, ``;`` separates lines) or a file path.
 
+The command line needs nothing beyond the standard library. Each
+subcommand declares one table of `Param` rows, its positionals and
+options, and that table drives both parsing and ``--help``. The parser
+keeps the rules the command has always had: an option that takes a value
+consumes the next token even when it starts with ``-``, ``--opt=value``
+works, ``--`` ends the options, options may stand between positionals,
+option names are never abbreviated, and when a value-taking option is
+given twice the last value wins.
+
 A command executes only the modules it uses. This module imports
 ``core``, ``errors`` and ``formats``; ``models``, ``dynamics`` and
 ``control`` are registered in ``sys.modules`` at import but run on first
@@ -19,13 +28,12 @@ only ``decide`` loads ``_pairscan``.
 
 from __future__ import annotations
 
+import codecs
 import importlib.util
 import json
 import os
 import sys
 from typing import Optional
-
-import click
 
 from . import __version__
 from .core import (
@@ -180,50 +188,325 @@ def _parse_constraint(spec: str, table: SpeciesTable) -> control.ContextConstrai
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
-        click.echo(text, nl=not text.endswith("\n"))
+        echo(text, nl=not text.endswith("\n"))
     else:
         _write_text(output, text)
-        click.echo(f"wrote {output}")
+        echo(f"wrote {output}")
 
 
-@click.group()
-@click.version_option(__version__, prog_name="rsys")
-def cli() -> None:
-    """Reaction-system tools: simulate, analyse orbits, search for
-    steering sequences, decide controllability, import Boolean networks."""
+# ---------------------------------------------------------------- parsing
 
 
-@cli.command()
-@click.argument("model")
+class UsageError(Exception):
+    """A command line that does not fit the command's parameter table."""
+
+
+def echo(text: str, nl: bool = True, err: bool = False) -> None:
+    """Write `text` and a newline to stdout (stderr with `err`) and flush,
+    so that a closed pipe fails at the write that meets it."""
+    stream = sys.stderr if err else sys.stdout
+    if nl:
+        text += "\n"
+    if codecs.lookup(getattr(stream, "encoding", None) or "utf-8").name == "ascii":
+        # A stream set up for ASCII (PYTHONIOENCODING=ascii, say) cannot
+        # carry names such as `ιx`: write UTF-8 bytes instead.
+        stream.buffer.write(text.encode("utf-8", "replace"))
+    else:
+        stream.write(text)
+    stream.flush()
+
+
+class Param:
+    """One row of a subcommand's parameter table.
+
+    A positional is named by its metavar (``MODEL``) and is always
+    required. An option is named by its flag (``--max-steps``); its value
+    is converted by `type` (``str`` or ``int``) and checked against
+    `choices`. A `flag` takes no value and reads True when given. A
+    `multiple` option collects every value given, in order."""
+
+    def __init__(
+        self,
+        name: str,
+        dest: Optional[str] = None,
+        *,
+        type=str,
+        choices: Optional[tuple] = None,
+        default=None,
+        required: bool = False,
+        multiple: bool = False,
+        flag: bool = False,
+        show_default: bool = False,
+        help: str = "",
+    ) -> None:
+        self.name = name
+        self.dest = dest or name.lstrip("-").lower().replace("-", "_")
+        self.type = type
+        self.choices = choices
+        self.default = False if flag else default
+        self.required = required or not self.is_option
+        self.multiple = multiple
+        self.flag = flag
+        self.show_default = show_default
+        self.help = help
+
+    @property
+    def is_option(self) -> bool:
+        return self.name.startswith("-")
+
+    def convert(self, value):
+        if self.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(
+                    f"Invalid value for '{self.name}': "
+                    f"{value!r} is not a valid integer."
+                ) from None
+        if self.choices is not None and value not in self.choices:
+            listed = ", ".join(map(repr, self.choices))
+            raise UsageError(
+                f"Invalid value for '{self.name}': {value!r} is not one of {listed}."
+            )
+        return value
+
+    def help_row(self) -> tuple[str, str]:
+        term = self.name
+        if not self.flag:
+            metavar = "INTEGER" if self.type is int else "TEXT"
+            if self.choices is not None:
+                metavar = "[" + "|".join(self.choices) + "]"
+            term += " " + metavar
+        tags = [f"default: {self.default}"] if self.show_default else []
+        if self.required:
+            tags.append("required")
+        text = self.help
+        if tags:
+            text += ("  " if text else "") + "[" + "; ".join(tags) + "]"
+        return term, text
+
+
+HELP = Param("--help", flag=True, help="Show this message and exit.")
+VERSION = Param("--version", flag=True, help="Show the version and exit.")
+HELP_WIDTH = 78
+
+
+def _help_page(usage: str, text: str, sections) -> str:
+    """Usage line, wrapped description, then (title, rows) sections of
+    two-column rows, laid out for an 80-column terminal."""
+    import textwrap
+
+    lines = [f"Usage: rsys {usage}", ""]
+    lines += textwrap.wrap(
+        text, HELP_WIDTH, initial_indent="  ", subsequent_indent="  "
+    )
+    for title, rows in sections:
+        lines += ["", f"{title}:"]
+        column = min(max(len(term) for term, _ in rows), 30) + 2
+        indent = " " * (column + 2)
+        for term, desc in rows:
+            head = f"  {term:<{column}}"
+            if len(term) > column - 2:
+                lines.append(f"  {term}")
+                head = indent
+            for line in textwrap.wrap(desc, max(HELP_WIDTH - column - 2, 10)) or [""]:
+                lines.append(head + line)
+                head = indent
+    return "\n".join(lines)
+
+
+def _did_you_mean(message: str, name: str, names) -> str:
+    from difflib import get_close_matches
+
+    close = sorted(get_close_matches(name, names))
+    if len(close) > 1:
+        return f"{message} (Did you mean one of: {', '.join(map(repr, close))}?)"
+    return f"{message} Did you mean {close[0]!r}?" if close else message
+
+
+def _scan(args: list, options: dict, interspersed: bool):
+    """({option given: its value, or its list of values when `multiple`},
+    the positionals). Options keep the order they are first given in.
+    ``--`` ends the options, and so does the first positional unless
+    `interspersed`."""
+    given: dict = {}
+    positionals: list = []
+    tokens = iter(args)
+    for arg in tokens:
+        if arg == "--":
+            positionals.extend(tokens)
+            break
+        if arg[:1] != "-" or arg == "-":
+            positionals.append(arg)
+            if not interspersed:
+                positionals.extend(tokens)
+                break
+            continue
+        name, eq, value = arg.partition("=")
+        param = options.get(name)
+        if param is None:
+            if arg[1] != "-":
+                # '-abc' reads as the short option '-a', and there are none.
+                raise UsageError(f"No such option {arg[:2]!r}.")
+            raise UsageError(_did_you_mean(f"No such option {name!r}.", name, options))
+        if param.flag:
+            if eq:
+                raise UsageError(f"Option {name!r} does not take a value.")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"Option {name!r} requires an argument.")
+        if param.multiple:
+            given.setdefault(param, []).append(value)
+        else:
+            given[param] = value
+    return given, positionals
+
+
+class Command:
+    """A subcommand: its parameter table, its help (the callback's
+    docstring) and the callback, read at each run so it can be replaced."""
+
+    def __init__(self, name: str, callback, params) -> None:
+        self.name = name
+        self.callback = callback
+        self.help = " ".join((callback.__doc__ or "").split())
+        self.arguments = [p for p in params if not p.is_option]
+        self.options = {p.name: p for p in params if p.is_option}
+        self.options[HELP.name] = HELP
+
+    def parse(self, args: list) -> Optional[dict]:
+        """The callback's keyword arguments, or None when ``--help`` asks
+        for help. Parameters are checked in command-line order: the
+        options given, then the positionals, then the options not given."""
+        given, positionals = _scan(args, self.options, interspersed=True)
+        if HELP in given:
+            return None
+        given.update(zip(self.arguments, positionals))
+        kwargs = {}
+        for param in [*given, *self.arguments, *self.options.values()]:
+            if param.dest in kwargs or param is HELP:
+                continue
+            if param in given:
+                raw = given[param]
+                kwargs[param.dest] = (
+                    tuple(map(param.convert, raw))
+                    if param.multiple
+                    else param.convert(raw)
+                )
+            elif param.required:
+                kind = "option" if param.is_option else "argument"
+                raise UsageError(f"Missing {kind} '{param.name}'.")
+            else:
+                kwargs[param.dest] = param.default
+        extra = positionals[len(self.arguments):]
+        if extra:
+            plural = "s" if len(extra) > 1 else ""
+            raise UsageError(
+                f"Got unexpected extra argument{plural} ({' '.join(extra)})"
+            )
+        return kwargs
+
+    def help_page(self) -> str:
+        usage = " ".join([self.name, "[OPTIONS]", *(p.name for p in self.arguments)])
+        rows = [p.help_row() for p in self.options.values()]
+        return _help_page(usage, self.help, [("Options", rows)])
+
+
+class Group:
+    """The ``rsys`` command: its subcommands by name in `commands`."""
+
+    def __init__(self, help: str) -> None:
+        self.help = help
+        self.commands: dict[str, Command] = {}
+        self.options = {VERSION.name: VERSION, HELP.name: HELP}
+
+    def command(self, name: str, *params: Param):
+        """Register the decorated function, which returns the exit code, as
+        subcommand `name` taking `params`."""
+
+        def register(callback):
+            self.commands[name] = Command(name, callback, params)
+            return callback
+
+        return register
+
+    def help_page(self) -> str:
+        import textwrap
+
+        width = HELP_WIDTH - 6 - max(map(len, self.commands))
+        commands = [
+            (name, textwrap.shorten(self.commands[name].help, width, placeholder="..."))
+            for name in sorted(self.commands)
+        ]
+        options = [p.help_row() for p in self.options.values()]
+        return _help_page(
+            "[OPTIONS] COMMAND [ARGS]...",
+            self.help,
+            [("Options", options), ("Commands", commands)],
+        )
+
+    def run(self, args: list) -> int:
+        if not args:
+            echo(self.help_page(), err=True)
+            return EXIT_USAGE
+        given, rest = _scan(args, self.options, interspersed=False)
+        if given:
+            # Both top-level options answer at once; the first one given wins.
+            first = next(iter(given))
+            echo(self.help_page() if first is HELP else f"rsys, version {__version__}")
+            return EXIT_OK
+        if not rest:
+            raise UsageError("Missing command.")
+        name, *args = rest
+        command = self.commands.get(name)
+        if command is None:
+            message = f"No such command {name!r}."
+            raise UsageError(_did_you_mean(message, name, self.commands))
+        kwargs = command.parse(args)
+        if kwargs is None:
+            echo(command.help_page())
+            return EXIT_OK
+        return command.callback(**kwargs)
+
+
+cli = Group(
+    "Reaction-system tools: simulate, analyse orbits, search for steering "
+    "sequences, decide controllability, import Boolean networks."
+)
+
+
+# ---------------------------------------------------------------- commands
+
+
+@cli.command("validate", Param("MODEL"))
 def validate(model: str) -> int:
     """Parse and check MODEL; exit 0 iff it is valid."""
     doc, _ = _load_model(model)
-    click.echo(f"model: {doc.name or '(unnamed)'}")
-    click.echo(f"species: {len(doc.system.species)}")
-    click.echo(f"reactions: {len(doc.system.reactions)}")
+    echo(f"model: {doc.name or '(unnamed)'}")
+    echo(f"species: {len(doc.system.species)}")
+    echo(f"reactions: {len(doc.system.reactions)}")
     problems = validate_system(doc.system)
     if problems:
         for problem in problems:
-            click.echo(f"problem: {problem}", err=True)
+            echo(f"problem: {problem}", err=True)
         return EXIT_INVALID
-    click.echo("valid")
+    echo("valid")
     return EXIT_OK
 
 
-@cli.command()
-@click.argument("model")
-@click.argument("contexts")
-@click.option("--initial", default=None,
-              help="Initial result set D_0 (mode given); omit it for D_0 = {}.")
-@click.option("--markers", default=None, help="Status markers 'Pro,uPro'; '' disables.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "csv", "json"]),
-    default="table",
-    show_default=True,
+@cli.command(
+    "simulate",
+    Param("MODEL"),
+    Param("CONTEXTS"),
+    Param("--initial",
+          help="Initial result set D_0 (mode given); omit it for D_0 = {}."),
+    Param("--markers", help="Status markers 'Pro,uPro'; '' disables."),
+    Param("--format", "fmt", choices=("table", "csv", "json"), default="table",
+          show_default=True),
+    Param("--output", help="Write to a file instead of stdout."),
 )
-@click.option("--output", default=None, help="Write to a file instead of stdout.")
 def simulate(
     model: str,
     contexts: str,
@@ -245,12 +528,14 @@ def simulate(
     return EXIT_OK
 
 
-@cli.command()
-@click.argument("model")
-@click.option("--context", "context_spec", required=True, help="Constant context set.")
-@click.option("--start", "start_spec", required=True, help="Initial full state.")
-@click.option("--max-steps", type=int, default=MAX_STEPS_DEFAULT, show_default=True)
-@click.option("--markers", default=None, help="Marker species 'Pro,uPro'; '' disables.")
+@cli.command(
+    "orbit",
+    Param("MODEL"),
+    Param("--context", "context_spec", required=True, help="Constant context set."),
+    Param("--start", "start_spec", required=True, help="Initial full state."),
+    Param("--max-steps", type=int, default=MAX_STEPS_DEFAULT, show_default=True),
+    Param("--markers", help="Marker species 'Pro,uPro'; '' disables."),
+)
 def orbit(
     model: str,
     context_spec: str,
@@ -264,34 +549,31 @@ def orbit(
     context = _parse_state(context_spec, table, corpus, "context")
     start = _parse_state(start_spec, table, corpus, "start state")
     orb = dynamics.orbit(doc.system, start, context, max_steps=max_steps)
-    click.echo(f"start: {start!r}")
-    click.echo(f"context: {context!r}")
-    click.echo(f"transient length: {len(orb.transient)}")
-    click.echo(f"period: {orb.period}")
+    echo(f"start: {start!r}")
+    echo(f"context: {context!r}")
+    echo(f"transient length: {len(orb.transient)}")
+    echo(f"period: {orb.period}")
     marker_names = _marker_names(markers, table, corpus)
     if marker_names:
         counts = dynamics.attractor_report(orb, marker_names)
         for name in marker_names:
-            click.echo(f"cycle states with {name}: {counts[name]}")
+            echo(f"cycle states with {name}: {counts[name]}")
         neither = sum(
             1 for w in orb.cycle if all(m not in w for m in marker_names)
         )
-        click.echo(f"cycle states with no marker: {neither}")
+        echo(f"cycle states with no marker: {neither}")
     for k, state in enumerate(orb.cycle):
-        click.echo(f"cycle[{k}]: {state!r}")
+        echo(f"cycle[{k}]: {state!r}")
     return EXIT_OK
 
 
-@cli.command()
-@click.argument("model")
-@click.argument("query_file", metavar="QUERY")
-@click.option("--node-budget", type=int, default=None, help="Visited-state cap.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json"]),
-    default="text",
-    show_default=True,
+@cli.command(
+    "reach",
+    Param("MODEL"),
+    Param("QUERY", "query_file"),
+    Param("--node-budget", type=int, help="Visited-state cap."),
+    Param("--format", "fmt", choices=("text", "json"), default="text",
+          show_default=True),
 )
 def reach(model: str, query_file: str, node_budget: Optional[int], fmt: str) -> int:
     """Search for a steering sequence answering the QUERY file (JSON)."""
@@ -305,52 +587,46 @@ def reach(model: str, query_file: str, node_budget: Optional[int], fmt: str) -> 
     witness = control.find_witness(doc.system, query, node_budget=node_budget)
     if witness is None:
         if query.depth_limit is not None:
-            click.echo(f"no witness within depth {query.depth_limit}")
+            echo(f"no witness within depth {query.depth_limit}")
         else:
-            click.echo("no witness")
+            echo("no witness")
         return EXIT_FALSE
     if query.initial_mode == "given" and not witness.contexts:
-        click.echo("warning: the source already satisfies the end condition", err=True)
+        echo("warning: the source already satisfies the end condition", err=True)
     if fmt == "json":
-        click.echo(json.dumps(witness.to_json(), indent=2))
+        echo(json.dumps(witness.to_json(), indent=2))
         return EXIT_OK
-    click.echo(
+    echo(
         f"witness: {witness.hit_index} steps, {witness.visited} states visited"
     )
     first = 1 if query.initial_mode == "given" else 0
     for k, context in enumerate(witness.contexts, start=first):
-        click.echo(f"C_{k}: {context!r}")
-    click.echo(export_trace(witness.trace, "table"), nl=False)
+        echo(f"C_{k}: {context!r}")
+    echo(export_trace(witness.trace, "table"), nl=False)
     return EXIT_OK
 
 
-@cli.command()
-@click.argument("model")
-@click.option("--constraint", "constraint_spec", default=None,
-              help="'max-cardinality=N' or 'allowed-set={A, B}'.")
-@click.option("--targets", "targets_spec", default=None,
-              help="Target set T for projected decisions.")
-@click.option("--minimal-n", "minimal_n_flag", is_flag=True,
-              help="Scan n = 0.. for the least sufficient cardinality bound.")
-@click.option("--minimal-I", "minimal_i_spec", default=None,
-              help="Greedily shrink this allowed set to an inclusion-minimal one.")
-@click.option("--sample", type=int, default=None,
-              help="Check only K sampled pairs instead of all of them.")
-@click.option("--seed", type=int, default=None,
-              help="Seed of the --sample draw (0 when omitted).")
-@click.option("--species-limit", type=int, default=None,
-              help="Exhaustive-scan ceiling on |S| (or |T|).")
-@click.option("--node-budget", type=int, default=None, help="Per-search state cap.")
-@click.option(
-    "--proviso",
-    type=click.Choice(["projection", "superset"]),
-    default="projection",
-    show_default=True,
-    help="Which end sets count as admissible in target mode.",
+@cli.command(
+    "decide",
+    Param("MODEL"),
+    Param("--constraint", "constraint_spec",
+          help="'max-cardinality=N' or 'allowed-set={A, B}'."),
+    Param("--targets", "targets_spec", help="Target set T for projected decisions."),
+    Param("--minimal-n", "minimal_n_flag", flag=True,
+          help="Scan n = 0.. for the least sufficient cardinality bound."),
+    Param("--minimal-I", "minimal_i_spec",
+          help="Greedily shrink this allowed set to an inclusion-minimal one."),
+    Param("--sample", type=int,
+          help="Check only K sampled pairs instead of all of them."),
+    Param("--seed", type=int, help="Seed of the --sample draw (0 when omitted)."),
+    Param("--species-limit", type=int, help="Exhaustive-scan ceiling on |S| (or |T|)."),
+    Param("--node-budget", type=int, help="Per-search state cap."),
+    Param("--proviso", choices=("projection", "superset"), default="projection",
+          show_default=True, help="Which end sets count as admissible in target mode."),
+    Param("--force", flag=True, help="Bypass the size ceilings."),
+    Param("--check-ts-equivalence", flag=True,
+          help="Compare the plain verdict with target mode at T = S."),
 )
-@click.option("--force", is_flag=True, help="Bypass the size ceilings.")
-@click.option("--check-ts-equivalence", is_flag=True,
-              help="Compare the plain verdict with target mode at T = S.")
 def decide(
     model: str,
     constraint_spec: Optional[str],
@@ -369,7 +645,7 @@ def decide(
     scan = "--minimal-n" if minimal_n_flag else None
     if minimal_i_spec is not None:
         if scan is not None:
-            raise click.UsageError("--minimal-n conflicts with --minimal-I")
+            raise UsageError("--minimal-n conflicts with --minimal-I")
         scan = "--minimal-I"
     if scan is not None:
         for flag, given in (
@@ -378,15 +654,15 @@ def decide(
             ("--proviso superset", proviso == "superset"),
         ):
             if given:
-                raise click.UsageError(f"{flag} conflicts with {scan}")
+                raise UsageError(f"{flag} conflicts with {scan}")
     elif constraint_spec is None:
-        raise click.UsageError("--constraint is required without a minimal scan")
+        raise UsageError("--constraint is required without a minimal scan")
     if seed is not None and sample is None:
-        raise click.UsageError("--seed needs --sample")
+        raise UsageError("--seed needs --sample")
     if check_ts_equivalence and targets_spec is not None:
-        raise click.UsageError("--check-ts-equivalence conflicts with --targets")
+        raise UsageError("--check-ts-equivalence conflicts with --targets")
     if proviso == "superset" and targets_spec is None and not check_ts_equivalence:
-        raise click.UsageError(
+        raise UsageError(
             "--proviso superset needs --targets or --check-ts-equivalence"
         )
     doc, corpus = _load_model(model)
@@ -412,16 +688,16 @@ def decide(
     )
 
     def describe(verdict) -> None:
-        click.echo(f"controllable: {'true' if verdict.decision else 'false'}")
+        echo(f"controllable: {'true' if verdict.decision else 'false'}")
         if verdict.decision and isinstance(scope, control.Sampled):
-            click.echo(
+            echo(
                 f"no counterexample found among {verdict.pairs_checked} pairs"
             )
         else:
-            click.echo(f"pairs checked: {verdict.pairs_checked}")
+            echo(f"pairs checked: {verdict.pairs_checked}")
         if verdict.counterexample is not None:
             x, y = verdict.counterexample
-            click.echo(f"counterexample: X={x!r} Y={y!r}")
+            echo(f"counterexample: X={x!r} Y={y!r}")
 
     if minimal_n_flag:
         report = control.minimal_n(
@@ -432,9 +708,9 @@ def decide(
             if verdict.counterexample is not None:
                 x, y = verdict.counterexample
                 line += f"  counterexample X={x!r} Y={y!r}"
-            click.echo(line)
+            echo(line)
         minimal = "none" if report.minimal is None else str(report.minimal)
-        click.echo(f"minimal n: {minimal}")
+        echo(f"minimal n: {minimal}")
         return EXIT_OK if report.minimal is not None else EXIT_FALSE
     if minimal_i_spec is not None:
         start = _parse_one_set(minimal_i_spec, table, "allowed set")
@@ -442,12 +718,12 @@ def decide(
             system, start, targets=targets, frontier_limit=frontier_limit, **common
         )
         if report.minimal is None:
-            click.echo(f"not controllable under the start set {start!r}")
+            echo(f"not controllable under the start set {start!r}")
             describe(report.start_verdict)
             return EXIT_FALSE
         for name, dropped, _verdict in report.steps:
-            click.echo(f"drop {name}: {'dropped' if dropped else 'kept'}")
-        click.echo(f"minimal I: {report.minimal!r}")
+            echo(f"drop {name}: {'dropped' if dropped else 'kept'}")
+        echo(f"minimal I: {report.minimal!r}")
         return EXIT_OK
     constraint = _parse_constraint(constraint_spec, table)
     if check_ts_equivalence:
@@ -460,13 +736,13 @@ def decide(
             frontier_limit=frontier_limit,
             **common,
         )
-        click.echo(f"plain: {'true' if plain.decision else 'false'}")
-        click.echo(f"target T=S: {'true' if projected.decision else 'false'}")
+        echo(f"plain: {'true' if plain.decision else 'false'}")
+        echo(f"target T=S: {'true' if projected.decision else 'false'}")
         same = (
             plain.decision == projected.decision
             and plain.counterexample == projected.counterexample
         )
-        click.echo("identical verdicts" if same else "VERDICTS DIFFER")
+        echo("identical verdicts" if same else "VERDICTS DIFFER")
         return EXIT_OK if same else EXIT_FALSE
     if targets is None:
         verdict = control.decide_controllable(system, constraint, **common)
@@ -483,11 +759,13 @@ def decide(
     return EXIT_OK if verdict.decision else EXIT_FALSE
 
 
-@cli.command("import-bn")
-@click.argument("bn_file", metavar="BN_FILE")
-@click.option("--no-blocking", is_flag=True,
-              help="Translate without per-variable blocking species.")
-@click.option("--output", default=None, help="Write the model file here.")
+@cli.command(
+    "import-bn",
+    Param("BN_FILE"),
+    Param("--no-blocking", flag=True,
+          help="Translate without per-variable blocking species."),
+    Param("--output", help="Write the model file here."),
+)
 def import_bn(bn_file: str, no_blocking: bool, output: Optional[str]) -> int:
     """Translate a Boolean network file into a reaction-system model."""
     bn = parse_boolean_network(_read_text(bn_file))
@@ -496,16 +774,17 @@ def import_bn(bn_file: str, no_blocking: bool, output: Optional[str]) -> int:
     return EXIT_OK
 
 
-@cli.command()
-@click.argument("model")
-@click.option("--input-set", "input_spec", required=True,
-              help="Contexts range over subsets of this set.")
-@click.option("--seeds", "seed_specs", multiple=True, required=True,
-              help="Seed state (repeatable).")
-@click.option("--dot", "dot_path", default=None, help="Write DOT here.")
-@click.option("--node-budget", type=int, default=NODE_BUDGET_DEFAULT,
-              show_default=True)
-@click.option("--input-limit", type=int, default=INPUT_SET_LIMIT, show_default=True)
+@cli.command(
+    "graph",
+    Param("MODEL"),
+    Param("--input-set", "input_spec", required=True,
+          help="Contexts range over subsets of this set."),
+    Param("--seeds", "seed_specs", multiple=True, required=True,
+          help="Seed state (repeatable)."),
+    Param("--dot", "dot_path", help="Write DOT here."),
+    Param("--node-budget", type=int, default=NODE_BUDGET_DEFAULT, show_default=True),
+    Param("--input-limit", type=int, default=INPUT_SET_LIMIT, show_default=True),
+)
 def graph(
     model: str,
     input_spec: str,
@@ -527,20 +806,22 @@ def graph(
         input_limit=input_limit,
     )
     if dot_path is None:
-        click.echo(g.to_dot(), nl=False)
+        echo(g.to_dot(), nl=False)
     else:
         _write_text(dot_path, g.to_dot())
-        click.echo(f"wrote {dot_path}")
-        click.echo(f"nodes: {len(g.nodes)}")
-        click.echo(f"edges: {len(g.edges)}")
+        echo(f"wrote {dot_path}")
+        echo(f"nodes: {len(g.nodes)}")
+        echo(f"edges: {len(g.edges)}")
         if g.truncated:
-            click.echo("truncated: true")
+            echo("truncated: true")
     return EXIT_OK
 
 
-@cli.command()
-@click.option("--dump", "dump_dir", default=None,
-              help="Write the bundled data files into this directory.")
+@cli.command(
+    "corpus",
+    Param("--dump", "dump_dir",
+          help="Write the bundled data files into this directory."),
+)
 def corpus(dump_dir: Optional[str]) -> int:
     """Show (or dump) the bundled model and its reference traces."""
     bundle = models.load_builtin()
@@ -549,17 +830,17 @@ def corpus(dump_dir: Optional[str]) -> int:
         for filename in models.DATA_FILES:
             path = os.path.join(dump_dir, filename)
             _write_text(path, models.data_text(filename))
-            click.echo(f"wrote {path}")
+            echo(f"wrote {path}")
         return EXIT_OK
-    click.echo(f"model: {bundle.model.name}")
-    click.echo(f"species: {len(bundle.model.system.species)}")
-    click.echo(f"reactions: {len(bundle.model.system.reactions)}")
-    click.echo(f"named states: {len(bundle.named_states)}")
+    echo(f"model: {bundle.model.name}")
+    echo(f"species: {len(bundle.model.system.species)}")
+    echo(f"reactions: {len(bundle.model.system.reactions)}")
+    echo(f"named states: {len(bundle.named_states)}")
     all_ok = True
     for name in sorted(bundle.traces):
         report = models.golden_replay(bundle, name)
         status = "pass" if report.ok else "FAIL"
-        click.echo(f"{name}: {status} ({len(report.trace)} steps)")
+        echo(f"{name}: {status} ({len(report.trace)} steps)")
         all_ok = all_ok and report.ok
     return EXIT_OK if all_ok else EXIT_FALSE
 
@@ -567,30 +848,30 @@ def corpus(dump_dir: Optional[str]) -> int:
 def main(argv: Optional[list] = None) -> int:
     """Entry point mapping library errors onto the documented exit codes."""
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        return cli.run(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        echo(f"error: {exc}", err=True)
         return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_USAGE
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
+    except (KeyboardInterrupt, EOFError):
+        echo("\naborted", err=True)
         return EXIT_USAGE
     except BudgetError as exc:
-        click.echo(f"error: {exc}", err=True)
+        echo(f"error: {exc}", err=True)
         return EXIT_FALSE
     except RsysError as exc:
-        click.echo(f"error: {exc}", err=True)
+        echo(f"error: {exc}", err=True)
         return EXIT_INVALID
     except json.JSONDecodeError as exc:
-        click.echo(f"error: invalid JSON: {exc}", err=True)
+        echo(f"error: invalid JSON: {exc}", err=True)
         return EXIT_INVALID
+    except BrokenPipeError:
+        # The reader of stdout left early (`rsys corpus | head -1`): exit 1
+        # quietly, with stdout on /dev/null so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FALSE
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
+        echo(f"error: {exc}", err=True)
         return EXIT_USAGE
-    return int(rv) if rv is not None else EXIT_OK
-
 
 if __name__ == "__main__":
     sys.exit(main())

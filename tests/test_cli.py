@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -12,9 +15,10 @@ import golden_data
 import rsys
 from oracles import run_oracle
 from rsys.cli import main
+from rsys.errors import BudgetError, RsysError
 from rsys.formats import CONTEXT_SEQUENCE_LIMIT
 from rsys.models import load_builtin
-from util import fresh_python, plain_reactions
+from util import SRC, fresh_python, plain_reactions
 
 
 def run(capsys, *argv):
@@ -768,6 +772,82 @@ class TestTopLevel:
         code, _, err = run(capsys, "frobnicate")
         assert code == 64
 
+    def test_bare_command_prints_the_help_on_stderr(self, capsys):
+        _, page, _ = run(capsys, "--help")
+        assert page.startswith("Usage: rsys [OPTIONS] COMMAND [ARGS]...\n")
+        assert run(capsys) == (64, "", page)
+
+    def test_dispatch_reads_the_callback_when_it_runs(
+        self, capsys, monkeypatch, chain_file
+    ):
+        # rsysbench's tracer replaces every `cli.commands[name].callback`.
+        commands = rsys.cli.cli.commands
+        assert sorted(commands) == [
+            "corpus", "decide", "graph", "import-bn",
+            "orbit", "reach", "simulate", "validate",
+        ]
+        calls = []
+
+        def replacement(**kwargs):
+            calls.append(kwargs)
+            return 1
+
+        monkeypatch.setattr(commands["validate"], "callback", replacement)
+        assert run(capsys, "validate", chain_file) == (1, "", "")
+        assert calls == [{"model": chain_file}]
+
+    @pytest.mark.parametrize(
+        "exc, code, err",
+        [
+            (KeyboardInterrupt(), 64, "\naborted\n"),
+            (EOFError(), 64, "\naborted\n"),
+            (BudgetError("out of budget"), 1, "error: out of budget\n"),
+            (RsysError("bad input"), 2, "error: bad input\n"),
+            (
+                json.JSONDecodeError("Expecting value", "", 0),
+                2,
+                "error: invalid JSON: Expecting value: line 1 column 1 (char 0)\n",
+            ),
+            (OSError(5, "I/O failed"), 64, "error: [Errno 5] I/O failed\n"),
+        ],
+    )
+    def test_exceptions_map_to_exit_codes(
+        self, capsys, monkeypatch, chain_file, exc, code, err
+    ):
+        def failing(**kwargs):
+            raise exc
+
+        monkeypatch.setattr(rsys.cli.cli.commands["validate"], "callback", failing)
+        assert run(capsys, "validate", chain_file) == (code, "", err)
+
+    def test_closed_stdout_ends_quietly_with_exit_1(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "rsys.cli", "--help"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=SRC),
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+    def test_ascii_streams_carry_utf8_names(self, tmp_path):
+        model = tmp_path / "uni.rs.txt"
+        model.write_text("@name ιx\n@species a\n", encoding="utf-8")
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "rsys.cli", "validate", path],
+                capture_output=True,
+                env=dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="ascii"),
+            )
+            for path in (str(model), "ι")
+        ]
+        assert runs[0].stdout.startswith("model: ιx\n".encode())
+        assert runs[1].stderr.endswith(": 'ι'\n".encode())
+
     def test_missing_argument(self, capsys):
         code, _, err = run(capsys, "simulate", "oncogenic")
         assert code == 64
@@ -825,13 +905,118 @@ class TestTopLevel:
         assert fresh_python(probe).stdout.strip() == "False"
 
 
+# (argv, exit code, stdout, stderr); CHAIN stands for the chain model file.
+USAGE_CONTRACT = {
+    "unknown-option-suggestion": (
+        ["simulate", "oncogenic", "--form", "csv"], 64, "",
+        "error: No such option '--form'. Did you mean '--format'?\n",
+    ),
+    "unknown-option-suggestions": (
+        ["decide", "CHAIN", "--sed", "1"], 64, "",
+        "error: No such option '--sed'. (Did you mean one of: '--sample', '--seed'?)\n",
+    ),
+    "options-are-never-abbreviated": (
+        ["decide", "CHAIN", "--fo"], 64, "",
+        "error: No such option '--fo'. Did you mean '--force'?\n",
+    ),
+    "unknown-short-option": (["validate", "-x"], 64, "", "error: No such option '-x'.\n"),
+    "unknown-top-level-option": (["--bogus"], 64, "", "error: No such option '--bogus'.\n"),
+    "missing-argument": (
+        ["simulate", "oncogenic"], 64, "", "error: Missing argument 'CONTEXTS'.\n"
+    ),
+    "missing-argument-after-double-dash": (
+        ["reach", "--", "-x"], 64, "", "error: Missing argument 'QUERY'.\n"
+    ),
+    "missing-option": (
+        ["graph", "CHAIN", "--input-set", "{a}"], 64, "",
+        "error: Missing option '--seeds'.\n",
+    ),
+    "option-needs-a-value": (
+        ["decide", "CHAIN", "--constraint"], 64, "",
+        "error: Option '--constraint' requires an argument.\n",
+    ),
+    "flag-takes-no-value": (
+        ["decide", "CHAIN", "--force=1"], 64, "",
+        "error: Option '--force' does not take a value.\n",
+    ),
+    "invalid-integer": (
+        ["orbit", "CHAIN", "--context", "{a}", "--start", "{}", "--max-steps", "x"],
+        64, "", "error: Invalid value for '--max-steps': 'x' is not a valid integer.\n",
+    ),
+    # Parameters are checked in command-line order, so the bad integer is
+    # reported before the missing MODEL.
+    "invalid-integer-before-missing-argument": (
+        ["orbit", "--max-steps", "x"], 64, "",
+        "error: Invalid value for '--max-steps': 'x' is not a valid integer.\n",
+    ),
+    "last-repeated-value-wins": (
+        ["decide", "CHAIN", "--sample", "3", "--sample", "x"], 64, "",
+        "error: Invalid value for '--sample': 'x' is not a valid integer.\n",
+    ),
+    "invalid-choice": (
+        ["simulate", "oncogenic", "{GF}", "--format", "xml"], 64, "",
+        "error: Invalid value for '--format': "
+        "'xml' is not one of 'table', 'csv', 'json'.\n",
+    ),
+    "extra-argument": (
+        ["validate", "a", "b"], 64, "", "error: Got unexpected extra argument (b)\n"
+    ),
+    "extra-arguments": (
+        ["validate", "a", "b", "c"], 64, "", "error: Got unexpected extra arguments (b c)\n"
+    ),
+    "unknown-command": (["frobnicate"], 64, "", "error: No such command 'frobnicate'.\n"),
+    "unknown-command-suggestion": (
+        ["validat"], 64, "", "error: No such command 'validat'. Did you mean 'validate'?\n"
+    ),
+    "missing-command": (["--"], 64, "", "error: Missing command.\n"),
+    "option-conflict": (
+        ["decide", "CHAIN", "--constraint", "max-cardinality=1", "--minimal-n"], 64, "",
+        "error: --constraint conflicts with --minimal-n\n",
+    ),
+    # A value-taking option consumes the next token even when it starts
+    # with '-'; the value then fails as input, not as usage.
+    "dash-leading-constraint": (
+        ["decide", "CHAIN", "--constraint", "-a"], 2, "",
+        "error: bad constraint '-a': "
+        "expected 'max-cardinality=N' or 'allowed-set={A, B}'\n",
+    ),
+    "dash-leading-context": (
+        ["orbit", "CHAIN", "--context", "-x", "--start", "{}"], 2, "",
+        "error: cannot resolve context '-x': expected an inline set '{A, B}', "
+        "an @file reference, or a named corpus state\n",
+    ),
+    "option-equals-value": (
+        ["decide", "CHAIN", "--constraint=max-cardinality=1"], 0,
+        "controllable: true\npairs checked: 28\n", "",
+    ),
+    "double-dash-ends-options": (
+        ["validate", "--", "CHAIN"], 0,
+        "model: chain\nspecies: 3\nreactions: 2\nvalid\n", "",
+    ),
+    "version": (["--version"], 0, "rsys, version 0.1.0\n", ""),
+    "version-ignores-the-rest": (["--version", "validate"], 0, "rsys, version 0.1.0\n", ""),
+}
+
+
+class TestUsageContract:
+    """Exact exit code, stdout and stderr of the command line's parsing:
+    its usage errors and the token rules they follow."""
+
+    @pytest.mark.parametrize("case", list(USAGE_CONTRACT))
+    def test_output_is_exact(self, capsys, chain_file, case):
+        argv, code, out, err = USAGE_CONTRACT[case]
+        argv = [chain_file if arg == "CHAIN" else arg for arg in argv]
+        assert run(capsys, *argv) == (code, out, err)
+
+
 # Which rsys modules a process executes. `rsys.cli` registers `control`,
 # `dynamics` and `models` lazily: such a module sits in sys.modules before
 # it runs, and its type becomes exactly `types.ModuleType` once it has run.
+# `click` modules are listed too: the command line must not import them.
 LOADED_PROBE = """
 import json, sys, types
 {code}
-loaded = {{n: m for n, m in sys.modules.items() if n.split(".")[0] == "rsys"}}
+loaded = {{n: m for n, m in sys.modules.items() if n.split(".")[0] in ("rsys", "click")}}
 ran = sorted(n for n, m in loaded.items() if type(m) is types.ModuleType)
 print(json.dumps([ran, sorted(set(loaded) - set(ran))]), file=sys.stderr)
 """
@@ -942,11 +1127,46 @@ def draw_model(draw):
     return species, names, model
 
 
+# How `lay_out` writes one (option, value) pair: mostly as given, sometimes
+# as `--opt=value`, with a value that starts with '-', with the option
+# name abbreviated (which is an error) or with the option repeated.
+TWISTS = st.sampled_from(
+    ["plain"] * 6 + ["equals", "dash-value", "abbreviated", "repeated"]
+)
+
+
+def lay_out(draw, head, positionals, options):
+    """argv for subcommand `head`: its positionals, and its (option,
+    value) pairs (value None for a flag) placed before or between them.
+    Sometimes every option comes first and `--` ends them."""
+    groups = []
+    for name, value in options:
+        twist = draw(TWISTS)
+        if twist == "abbreviated":
+            name = name[:-2]
+        if value is None:
+            group = [name]
+        elif twist == "equals":
+            group = [f"{name}={value}"]
+        else:
+            group = [name, "-" + value if twist == "dash-value" else value]
+        groups += [group, group] if twist == "repeated" else [group]
+    if draw(st.integers(0, 4)) == 0:
+        return [head, *(token for group in groups for token in group), "--", *positionals]
+    slots = [[] for _ in range(len(positionals) + 1)]
+    for group in groups:
+        slots[draw(st.integers(0, len(positionals)))] += group
+    argv = [head, *slots[0]]
+    for positional, slot in zip(positionals, slots[1:]):
+        argv += [positional, *slot]
+    return argv
+
+
 @st.composite
 def cli_runs(draw):
     """(argv, model bytes, data bytes) for one run of validate, simulate,
-    reach or orbit on up to 6 species, from a directory holding the model
-    as `model.rs.txt` and the query, contexts or state as `data`."""
+    reach, orbit or graph on up to 6 species, from a directory holding the
+    model as `model.rs.txt` and the query, contexts or state as `data`."""
     species, names, model = draw_model(draw)
     constraint = st.one_of(
         st.fixed_dictionaries(
@@ -966,7 +1186,7 @@ def cli_runs(draw):
     )
     contexts = st.lists(context, min_size=1, max_size=3).map("\n".join)
     state = names.map(set_text) | st.sampled_from(["@data", "S19", "x"])
-    command = draw(st.sampled_from(["validate", "simulate", "reach", "orbit"]))
+    command = draw(st.sampled_from(["validate", "simulate", "reach", "orbit", "graph"]))
     text = query.map(json.dumps) if command == "reach" else contexts
     data = draw(
         text.map(str.encode)
@@ -976,16 +1196,23 @@ def cli_runs(draw):
     )
     budget = st.none() | st.integers(-1, 40)
     model_file = "model.rs.txt"
-    argv = {
-        "validate": ["validate", model_file],
-        "simulate": ["simulate", model_file, "data", "--initial", draw(state)],
-        "reach": ["reach", model_file, "data", "--node-budget", draw(budget)],
-        "orbit": ["orbit", model_file, "--context", draw(state), "--start", draw(state),
-                  "--max-steps", draw(budget)],
+    positionals, options = {
+        "validate": ([model_file], []),
+        "simulate": ([model_file, "data"], [("--initial", draw(state))]),
+        "reach": ([model_file, "data"], [("--node-budget", draw(budget))]),
+        "orbit": (
+            [model_file],
+            [("--context", draw(state)), ("--start", draw(state)),
+             ("--max-steps", draw(budget))],
+        ),
+        "graph": (
+            [model_file],
+            [("--input-set", draw(state)), ("--node-budget", draw(budget))]
+            + [("--seeds", seed) for seed in draw(st.lists(state, min_size=1, max_size=3))],
+        ),
     }[command]
-    if None in argv:
-        argv = argv[:-2]
-    return [str(arg) for arg in argv], model, data
+    options = [(name, str(value)) for name, value in options if value is not None]
+    return lay_out(draw, command, positionals, options), model, data
 
 
 @st.composite
@@ -1002,9 +1229,10 @@ def decide_runs(draw):
         st.text("abfxyz=-{},", max_size=8),
     )
     mode = draw(st.sampled_from(["--constraint", "--constraint", "--minimal-n", "--minimal-I"]))
-    argv = ["decide", "model.rs.txt", mode]
+    value = None
     if mode != "--minimal-n":
-        argv.append(draw(constraint if mode == "--constraint" else state))
+        value = draw(constraint if mode == "--constraint" else state)
+    options = [(mode, value)]
     count = st.integers(-1, 12)
     for option, value in (
         ("--targets", state),
@@ -1014,8 +1242,8 @@ def decide_runs(draw):
         ("--node-budget", st.integers(-1, 40)),
     ):
         if draw(st.booleans()):
-            argv += [option, draw(value)]
-    return [str(arg) for arg in argv], model
+            options.append((option, str(draw(value))))
+    return lay_out(draw, "decide", ["model.rs.txt"], options), model
 
 
 class TestFuzz:
