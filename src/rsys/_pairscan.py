@@ -1,12 +1,17 @@
 """The exhaustive pair scan behind a decision, over the result graph.
 
+A decision's verdict, counterexample, `pairs_checked` and node budget all
+come from one `ResultGraph`: no full state is built and no context is
+listed. The budget counts the result values the graph expands, so a
+budget that is never hit costs nothing beyond the count.
+
 `control._decide` imports this module when a decision first needs it, so
 the commands that never decide do not load it.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._engine import Engine
 from .core import res_split, res_values
@@ -25,7 +30,8 @@ class ResultGraph:
     (c | d) ∩ T = Y, that is d ∩ T ⊆ Y and Y ∖ d is an admitted context.
     Covers are bitsets over `y_masks`, propagated over the strongly
     connected components of Tarjan's algorithm, so each node is expanded
-    once.
+    once. Expanding more than `budget` nodes over the graph's life raises
+    BudgetError.
     """
 
     def __init__(
@@ -35,12 +41,15 @@ class ResultGraph:
         limit: int,
         y_masks: list[int],
         t_mask: int,
+        budget: int,
     ):
         self.union = union
         self.limit = limit
         self.masks = (eng.rmasks, eng.imasks, eng.pmasks)
         self.ends_high_first = y_masks[::-1]
         self.t_mask = t_mask
+        self.budget = budget
+        self.expanded = 0
         # node -> bitset of the end sets reached from it; set once the
         # node's strongly connected component is complete
         self.reach: dict[int, int] = {}
@@ -80,6 +89,13 @@ class ResultGraph:
         calls: list = []
 
         def enter(w: int) -> None:
+            if self.expanded >= self.budget:
+                raise BudgetError(
+                    f"decision stopped by the node budget after expanding "
+                    f"{self.expanded} result values",
+                    visited=self.expanded,
+                )
+            self.expanded += 1
             order[w] = low[w] = len(order)
             acc[w] = self._cover(w)
             component.append(w)
@@ -119,8 +135,6 @@ def scan_pairs(
     x_masks: Sequence[int],
     y_masks: list[int],
     outside_subs: list[int],
-    ctx_masks: Optional[list[int]],
-    budget: int,
 ) -> tuple[int, Optional[tuple[int, int]]]:
     """Scan pairs in canonical order; return (pairs checked through the
     decision point, first counterexample or None).
@@ -129,26 +143,13 @@ def scan_pairs(
     results of its starts covers Y, so each source is one bitset test
     against the result graph; only a miss looks up the first end set
     missed and the pairs checked before it.
-
-    The node budget caps each source's own closure, starts ∪ successors,
-    in full states, which the result graph never builds. So under a
-    budget every start-result set still gets one kernel closure, only to
-    raise the same BudgetError; the verdict comes from the graph either
-    way. `ctx_masks` lists the admitted contexts for those closures, and
-    is None when there is no budget.
     """
     full = outside_subs == [0]
     y_index = {y: j for j, y in enumerate(y_masks)}
     every = (1 << len(y_masks)) - 1
-    # start-result key -> successor states, kept only while the budget
-    # could cut a later source's closure
-    closures: dict = {}
     checked = 0
     for x in x_masks:
-        starts = [x | z for z in outside_subs]
-        results = [eng.res(x)] if full else {eng.res(w) for w in starts}
-        if ctx_masks is not None:
-            _check_budget(eng, closures, results, starts, ctx_masks, budget)
+        results = [eng.res(x)] if full else {eng.res(x | z) for z in outside_subs}
         covered = 0
         for d in results:
             covered |= graph.reached(d)
@@ -163,34 +164,3 @@ def scan_pairs(
         checked += j + 1 - (own is not None and own < j)
         return checked, (x, y_masks[j])
     return checked, None
-
-
-def _check_budget(
-    eng: Engine,
-    closures: dict,
-    results: Collection[int],
-    starts: list[int],
-    ctx_masks: list[int],
-    budget: int,
-) -> None:
-    """Raise BudgetError when the source's closure exceeds the budget.
-
-    The states seen as successors depend only on the starts' results, so
-    one kernel closure serves every source with the same result set, and
-    each source adds its own starts.
-    """
-    key = frozenset(results)
-    if key in closures:
-        seen = closures[key]
-        truncated = (
-            seen is not None
-            and len(seen) + sum(w not in seen for w in starts) > budget
-        )
-    else:
-        _, seen, truncated = eng.bfs_closure(starts, ctx_masks, budget)
-        closures[key] = seen if len(seen) + len(starts) > budget else None
-    if truncated:
-        raise BudgetError(
-            "reachability closure stopped by the node budget",
-            visited=budget,
-        )

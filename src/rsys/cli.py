@@ -620,7 +620,9 @@ def reach(model: str, query_file: str, node_budget: Optional[int], fmt: str) -> 
           help="Check only K sampled pairs instead of all of them."),
     Param("--seed", type=int, help="Seed of the --sample draw (0 when omitted)."),
     Param("--species-limit", type=int, help="Exhaustive-scan ceiling on |S| (or |T|)."),
-    Param("--node-budget", type=int, help="Per-search state cap."),
+    Param("--node-budget", type=int,
+          help="Cap on result values expanded per decision; with --sample, "
+          "on states per sampled search."),
     Param("--proviso", choices=("projection", "superset"), default="projection",
           show_default=True, help="Which end sets count as admissible in target mode."),
     Param("--force", flag=True, help="Bypass the size ceilings."),

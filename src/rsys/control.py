@@ -12,11 +12,12 @@ map (target mode: to projections of the image onto T), and report the
 first counterexample in canonical order: ascending (|X|, X encoding,
 |Y|, Y encoding).
 
-An exhaustive decision never searches full states: it walks one graph
-over result values per call (`_pairscan.ResultGraph`), expanding each
-value once, and tests each source against the end sets its starts'
-results reach. Full-state closures are computed only under a node
-budget, whose states they count.
+An exhaustive decision never searches full states or lists contexts: it
+walks one graph over result values per call (`_pairscan.ResultGraph`),
+expanding each value once, and tests each source against the end sets
+its starts' results reach. Its node budget counts the result values
+expanded; a sampled decision and `find_witness` search full states, and
+their budgets count states.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ UNLIMITED = 1 << 62
 
 
 def _node_budget(node_budget: Optional[int]) -> int:
-    """The state cap passed to a kernel; None means unlimited.
+    """The cap on a search's work, None meaning unlimited: states for a
+    kernel search, result values expanded for an exhaustive decision.
 
     Budgets are capped at UNLIMITED so they fit the compiled kernel's
     64-bit counter; no search can visit that many states anyway.
@@ -539,13 +541,12 @@ def _decide(
             f"(limit {frontier_limit}); pin the full start state with "
             "find_witness instead, or raise frontier_limit"
         )
-    # Only the kernel searches of sampled and budgeted decisions list the
-    # contexts; the result graph reads the constraint's span instead.
-    if isinstance(scope, Sampled) or budget < UNLIMITED:
+    # Only the kernel searches of a sampled decision list the contexts;
+    # the result graph reads the constraint's span instead.
+    if isinstance(scope, Sampled):
         ctx_masks = _context_masks(system, constraint)
     else:
         constraint.bind_check(table)
-        ctx_masks = None
     if eng is None:
         eng = Engine(system)
     outside_subs = submasks_ascending(outside)
@@ -597,15 +598,9 @@ def _decide(
     from ._pairscan import ResultGraph, scan_pairs
 
     union, limit = constraint.span(table)
-    graph = ResultGraph(eng, union, limit, y_masks, t_mask)
+    graph = ResultGraph(eng, union, limit, y_masks, t_mask, budget)
     checked, cex = scan_pairs(
-        eng,
-        graph,
-        submasks_ascending(t_mask),
-        y_masks,
-        outside_subs,
-        ctx_masks,
-        budget,
+        eng, graph, submasks_ascending(t_mask), y_masks, outside_subs
     )
     if cex is None:
         return ControllabilityVerdict(True, None, checked)

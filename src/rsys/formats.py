@@ -232,9 +232,12 @@ def parse_model(text: str) -> ModelDocument:
 
 
 def serialize_model(doc: ModelDocument) -> str:
-    """Canonical text form; parsing it back yields an equal document.
+    """Canonical text form: parsing it back and serializing again gives the
+    same text, with the same species and reactions in the same order.
 
-    Unlabeled reactions are written with the positional label "r<k>".
+    An unlabeled reaction k is written with the positional label "r<k>",
+    so it parses back labelled, or without a label when a labelled
+    reaction already holds "r<k>".
     """
     out: list[str] = []
     if "name" in doc.metadata:
@@ -245,10 +248,12 @@ def serialize_model(doc: ModelDocument) -> str:
     out.append("@species " + ", ".join(names) if names else "@species")
     if doc.system.reactions:
         out.append("")
+        taken = {r.label for r in doc.system.reactions}
         for k, r in enumerate(doc.system.reactions):
             label = r.label or f"r{k + 1}"
+            head = f"{label}: " if r.label or label not in taken else ""
             out.append(
-                f"{label}: {r.reactants!r} | {r.inhibitors!r} -> {r.products!r}"
+                f"{head}{r.reactants!r} | {r.inhibitors!r} -> {r.products!r}"
             )
     return "\n".join(out) + "\n"
 

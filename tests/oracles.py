@@ -290,7 +290,7 @@ def pair_scan_oracle(
     targets: frozenset,
     contexts: list[frozenset],
     proviso: str = "projection",
-) -> tuple[bool, tuple[frozenset, frozenset] | None, int, list[int]]:
+) -> tuple[bool, tuple[frozenset, frozenset] | None, int, int]:
     """Target-controllability by a canonical-order pair scan, one closure
     per source and nothing shared between sources.
 
@@ -300,8 +300,9 @@ def pair_scan_oracle(
     projections onto `targets` ("projection") or over every subset of one
     ("superset"). The closure of X is the union of `reachable_states` over
     its completions X ∪ Z, Z ⊆ S ∖ T. Returns (decision, first
-    counterexample or None, pairs checked, closure size of every source
-    scanned, in scan order).
+    counterexample or None, pairs checked, result values expanded). The
+    last is what a decision's node budget counts: the `result_closure` of
+    the start results of every source scanned through the decision point.
     """
 
     def encoding(s: frozenset) -> tuple[int, int]:
@@ -322,20 +323,24 @@ def pair_scan_oracle(
     ends = sorted(ends, key=encoding)
     completions = all_subsets(frozenset(names) - targets)
     checked = 0
-    sizes: list[int] = []
+    start_results: set[frozenset] = set()
+
+    def expanded() -> int:
+        return len(result_closure(reactions, contexts, start_results))
+
     for x in sorted(all_subsets(targets), key=encoding):
         closure: set[frozenset] = set()
         for z in completions:
             closure |= reachable_states(reactions, contexts, x | z)
-        sizes.append(len(closure))
+            start_results.add(res_oracle(reactions, x | z))
         observed = {w & targets for w in closure}
         for y in ends:
             if y == x:
                 continue
             checked += 1
             if y not in observed:
-                return False, (x, y), checked, sizes
-    return True, None, checked, sizes
+                return False, (x, y), checked, expanded()
+    return True, None, checked, expanded()
 
 
 def random_system(

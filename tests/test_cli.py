@@ -445,6 +445,19 @@ class TestDecide:
         assert "controllable: true" in out
         assert "pairs checked: 28" in out
 
+    def test_budget_counts_result_values(self, capsys, chain_file):
+        # The chain's decision expands its four result values {}, {b}, {c}
+        # and {b, c}: a budget of 3 stops it, and 4 answers in full.
+        decide = ["decide", chain_file, "--constraint", "max-cardinality=1"]
+        code, out, err = run(capsys, *decide, "--node-budget", "3")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: decision stopped by the node budget after expanding "
+            "3 result values\n"
+        )
+        _, unbudgeted, _ = run(capsys, *decide)
+        assert run(capsys, *decide, "--node-budget", "4") == (0, unbudgeted, "")
+
     def test_uncontrollable_with_counterexample(self, capsys, t1_file):
         code, out, _ = run(
             capsys, "decide", t1_file, "--constraint", "allowed-set={}"

@@ -1,6 +1,7 @@
 """Constraints, witness search and verification, controllability decisions."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -116,11 +117,9 @@ class TestConstraints:
         assert len(allowed_contexts(system, MaxCardinality(1), limit=22)) == 22
 
     @pytest.mark.parametrize(
-        "scope, budget",
-        [(None, None), (Sampled(3), None), (Exhaustive(), 10)],
-        ids=["find_witness", "sampled", "budgeted"],
+        "scope", [None, Sampled(3)], ids=["find_witness", "sampled"]
     )
-    def test_listing_calls_refuse_without_suggesting_a_limit(self, scope, budget):
+    def test_listing_calls_refuse_without_suggesting_a_limit(self, scope):
         # These calls list the contexts but take no limit, so the refusal
         # must not offer to raise one.
         names = [f"s{k}" for k in range(21)]
@@ -137,7 +136,6 @@ class TestConstraints:
                     table.set_of(names[:16]),
                     constraint,
                     scope=scope,
-                    node_budget=budget,
                 )
         assert "limit 1048576" in str(err.value)
         assert "larger limit" not in str(err.value)
@@ -583,48 +581,127 @@ def expanded(monkeypatch):
     return calls
 
 
-# Budgeted scans: a budget caps each source's closure in full states, so
-# the scan still computes kernel closures, one per start-result set.
-BUDGET = 1 << 20
+def assert_budget_edges(decide, k):
+    """A decision that expands k result values: budget k−1 stops it after
+    k−1, and budgets k and k+1 answer as if there were no budget."""
+    expected = decide(None)
+    with pytest.raises(
+        BudgetError, match=f"after expanding {k - 1} result values"
+    ) as err:
+        decide(k - 1)
+    assert err.value.visited == k - 1
+    for budget in (k, k + 1):
+        assert decide(budget) == expected
 
 
-class TestSharedClosures:
-    def test_one_closure_when_every_result_is_empty(self, closure_calls):
-        # No reactions: every source has the results {} and so, under a
-        # budget, one closure, where one closure per source would take 2^17.
+# Budgeted scans: the budget counts the result values the decision's
+# result graph expands, never full states, so no kernel closure runs.
+class TestDecisionBudget:
+    def test_one_value_when_every_result_is_empty(self, closure_calls):
+        # No reactions: every source has the result {}, so the whole scan of
+        # 2^17 sources expands one value.
         names = [f"s{k}" for k in range(17)]
         system = make_system(names, [])
         verdict = decide_controllable(
-            system, MaxCardinality(1), species_limit=17, node_budget=BUDGET
+            system, MaxCardinality(1), species_limit=17, node_budget=1
         )
         assert verdict.decision and verdict.pairs_checked == (1 << 17) - 1
-        assert len(closure_calls) == 1
+        with pytest.raises(BudgetError):
+            decide_controllable(
+                system, MaxCardinality(1), species_limit=17, node_budget=0
+            )
+        assert closure_calls == []
 
-    def test_budget_caps_each_sources_own_closure(self, closure_calls):
-        # One shared closure, {} alone: source {} needs 1 state, but source
-        # {a} also holds itself, so its closure has 2.
+    def test_budget_counts_result_values_not_states(self, closure_calls):
+        # Source {a} holds two states, {a} and {}, but both have the result
+        # {}, so a budget of one value answers.
         system = make_system(["a", "b"], [])
         with pytest.raises(BudgetError):
-            decide_controllable(system, MaxCardinality(0), node_budget=1)
-        assert len(closure_calls) == 1
-        verdict = decide_controllable(system, MaxCardinality(0), node_budget=2)
+            decide_controllable(system, MaxCardinality(0), node_budget=0)
+        verdict = decide_controllable(system, MaxCardinality(0), node_budget=1)
         assert verdict.decision and verdict.pairs_checked == 3
+        assert closure_calls == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 10])
+    @pytest.mark.parametrize(
+        "allowed", [None, ("s0", "s2", "s3")], ids=["max1", "allowed"]
+    )
+    def test_budget_edges_in_full_mode(self, closure_calls, seed, allowed):
+        names, reactions = random_system(random.Random(seed), 5, 6)
+        system = make_system(names, reactions)
+        constraint, contexts = constraint_and_contexts(system, allowed)
+
+        def decide(budget):
+            return decide_controllable(system, constraint, node_budget=budget)
+
+        k = len(expanded_through(decide(None), reactions, names, names, contexts))
+        assert_budget_edges(decide, k)
+        assert closure_calls == []
 
     @pytest.mark.parametrize("seed", [1, 2, 4, 10])
     @pytest.mark.parametrize("n_targets", [2, 5])
-    def test_one_closure_per_start_result_set(self, closure_calls, seed, n_targets):
+    def test_budget_edges_in_target_mode(self, closure_calls, seed, n_targets):
         names, reactions = random_system(random.Random(seed), 5, 6)
         system = make_system(names, reactions)
-        table = system.species
         targets = names[:n_targets]
-        verdict = decide_target_controllable(
-            system, table.set_of(targets), MaxCardinality(1), node_budget=BUDGET
-        )
-        keys = {
-            frozenset(starts)
-            for starts in scanned_start_results(verdict, names, reactions, targets)
-        }
-        assert len(closure_calls) == len(keys)
+        constraint, contexts = constraint_and_contexts(system, None)
+        for proviso in ("projection", "superset"):
+            decide = partial(
+                decide_target_controllable,
+                system,
+                system.species.set_of(targets),
+                constraint,
+                proviso=proviso,
+            )
+            verdict = decide()
+            k = len(expanded_through(verdict, reactions, names, targets, contexts))
+            assert_budget_edges(lambda b: decide(node_budget=b), k)
+        assert closure_calls == []
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_budget_applies_per_minimal_scan_probe(self, closure_calls, seed):
+        # Each probe builds its own result graph, so the scan needs only
+        # the largest probe's count, not the sum.
+        names, reactions = random_system(random.Random(seed), 5, 6)
+        system = make_system(names, reactions)
+        report = minimal_n(system)
+        counts = [
+            len(
+                expanded_through(
+                    verdict,
+                    reactions,
+                    names,
+                    names,
+                    constraint_and_contexts(system, n)[1],
+                )
+            )
+            for n, verdict in report.verdicts
+        ]
+        assert len(counts) > 1
+        with pytest.raises(BudgetError):
+            minimal_n(system, node_budget=max(counts) - 1)
+        assert minimal_n(system, node_budget=max(counts)) == report
+        assert closure_calls == []
+
+
+def constraint_and_contexts(system, allowed):
+    """A constraint and its admitted contexts as plain sets: at most one
+    species for None, at most n species for an int n, else AllowedSet."""
+    names = list(system.species.names)
+    if allowed is None or isinstance(allowed, int):
+        n = 1 if allowed is None else allowed
+        contexts = [s for s in canonical_subsets(names) if len(s) <= n]
+        return MaxCardinality(n), contexts
+    return AllowedSet(system.species.set_of(allowed)), canonical_subsets(allowed)
+
+
+def expanded_through(verdict, reactions, names, targets, contexts):
+    """The result values a decision expands through its decision point:
+    the closure of the start results of every source it scanned."""
+    starts = set().union(
+        *scanned_start_results(verdict, names, reactions, targets)
+    )
+    return result_closure(reactions, contexts, starts)
 
 
 def scanned_start_results(verdict, names, reactions, targets):
@@ -665,6 +742,22 @@ class TestResultGraph:
         assert closure_calls == []
         assert expanded == [0]
 
+    def test_budgeted_decision_lists_no_contexts(self, closure_calls, expanded):
+        # The same 2^21 admitted contexts under a budget: the budget counts
+        # result values, so a budgeted decision lists no contexts either.
+        names = [f"s{k}" for k in range(21)]
+        system = make_system(names, [])
+        table = system.species
+        verdict = decide_target_controllable(
+            system,
+            table.set_of(names[:16]),
+            AllowedSet(table.full_set),
+            node_budget=1,
+        )
+        assert verdict.decision and verdict.pairs_checked == (1 << 16) - 1
+        assert closure_calls == []
+        assert expanded == [0]
+
     @pytest.mark.parametrize("seed", [1, 2, 4, 10])
     @pytest.mark.parametrize("n_targets", [2, 5])
     @pytest.mark.parametrize("allowed", [None, ("s0", "s2", "s3")])
@@ -675,19 +768,11 @@ class TestResultGraph:
         system = make_system(names, reactions)
         table = system.species
         targets = names[:n_targets]
-        if allowed is None:
-            constraint = MaxCardinality(1)
-            contexts = [s for s in canonical_subsets(names) if len(s) <= 1]
-        else:
-            constraint = AllowedSet(table.set_of(allowed))
-            contexts = canonical_subsets(allowed)
+        constraint, contexts = constraint_and_contexts(system, allowed)
         verdict = decide_target_controllable(
             system, table.set_of(targets), constraint
         )
-        starts = set().union(
-            *scanned_start_results(verdict, names, reactions, targets)
-        )
-        reachable = result_closure(reactions, contexts, starts)
+        reachable = expanded_through(verdict, reactions, names, targets, contexts)
         assert closure_calls == []
         assert len(expanded) == len(set(expanded)) == len(reachable)
         assert {names_of(table.from_mask(d)) for d in expanded} == reachable

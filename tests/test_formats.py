@@ -89,6 +89,14 @@ class TestParseModel:
         doc = parse_model("{a} | {} -> {b}\n")
         assert "r1: {a} | {} -> {b}" in serialize_model(doc)
 
+    def test_serialize_leaves_a_taken_positional_label_off(self):
+        # The unlabeled first reaction would be "r1", which the labelled
+        # second one holds; writing it twice made a model parse_model rejects.
+        text = "@species a, b\n{a} | {} -> {b}\nr1: {b} | {} -> {a}\n"
+        out = serialize_model(parse_model(text))
+        assert out == "@species a, b\n\n{a} | {} -> {b}\nr1: {b} | {} -> {a}\n"
+        assert serialize_model(parse_model(out)) == out
+
     def test_empty_model_allowed(self):
         # A model with no species and no reactions still simulates: every
         # result set is empty.

@@ -300,6 +300,28 @@ class TestSerialization:
         assert plain_reactions(doc.system) == plain_reactions(system)
         assert list(doc.system.species.names) == list(system.species.names)
 
+    @given(data=st.data(), system=systems())
+    @relaxed
+    def test_round_trip_with_positional_labels(self, data, system):
+        # Some reactions hold the positional labels "r<k>" that unlabeled
+        # reactions are written with.
+        positional = [f"r{k}" for k in range(1, len(system.reactions) + 1)]
+        held = data.draw(st.permutations(positional))
+        labels = [
+            held[k] if data.draw(st.booleans()) else None
+            for k in range(len(positional))
+        ]
+        labelled = make_system(
+            list(system.species.names), plain_reactions(system), labels
+        )
+        text = serialize_model(ModelDocument(labelled, {}))
+        doc = parse_model(text)
+        assert serialize_model(doc) == text
+        assert plain_reactions(doc.system) == plain_reactions(system)
+        for r, label in zip(doc.system.reactions, labels):
+            if label is not None:
+                assert r.label == label
+
 
 class TestConstraintEnumeration:
     @given(data=st.data(), system=systems())
@@ -459,7 +481,7 @@ class TestDecisions:
         proviso=st.sampled_from(["projection", "superset"]),
     )
     @fewer
-    def test_shared_closures_match_one_closure_per_source(
+    def test_budget_counts_the_result_values_expanded(
         self, data, system, proviso
     ):
         table = system.species
@@ -478,7 +500,7 @@ class TestDecisions:
             chosen = sorted(data.draw(st.sets(st.sampled_from(names))))
             constraint = AllowedSet(table.set_of(chosen))
             allowed = canonical_subsets(chosen)
-        decision, cex, checked, sizes = oracles.pair_scan_oracle(
+        decision, cex, checked, expanded = oracles.pair_scan_oracle(
             plain_reactions(system), names, targets, allowed, proviso
         )
 
@@ -493,13 +515,13 @@ class TestDecisions:
                 node_budget=budget,
             )
 
-        # Budgets around every scanned closure size, the largest (k) included.
-        edges = sorted({b for k in sizes for b in (k - 1, k, k + 1)})
-        for budget in [None] + edges:
-            if budget is not None and max(sizes) > budget:
-                with pytest.raises(BudgetError):
-                    decide(budget)
-                continue
+        # The budget caps the result values expanded through the decision
+        # point: one short of them stops the decision, and the exact count
+        # or more answers as if there were no budget.
+        with pytest.raises(BudgetError) as err:
+            decide(expanded - 1)
+        assert err.value.visited == expanded - 1
+        for budget in (None, expanded, expanded + 1):
             verdict = decide(budget)
             got = verdict.counterexample
             if got is not None:
