@@ -60,7 +60,12 @@ def _pick_kernel(n_species: int, backend: Optional[str]):
 
 
 class Engine:
-    """Mask-level view of one system, bound to a kernel backend."""
+    """Mask-level view of one system, bound to a kernel backend.
+
+    The pure kernel's witness searches also get the system's
+    `split_tables`, which a search calls only once it is large; the tables
+    are then built once per system and kept on it (see `_kernel_py`).
+    """
 
     __slots__ = (
         "rmasks",
@@ -68,6 +73,7 @@ class Engine:
         "pmasks",
         "resource_mask",
         "kernel",
+        "_split_tables",
         "_res_cache",
         "_image",
     )
@@ -78,6 +84,7 @@ class Engine:
         self.pmasks = system.pmasks
         self.resource_mask = system.resource_mask
         self.kernel = _pick_kernel(len(system.species), backend)
+        self._split_tables = system.split_tables
         self._res_cache: dict[int, int] = {}
         self._image: Optional[frozenset[int]] = None
 
@@ -103,7 +110,7 @@ class Engine:
         depth_limit: int,
         node_budget: int,
     ) -> tuple[int, int, list[int], int, int]:
-        return self.kernel.bfs_witness(
+        args = (
             starts,
             contexts,
             self.rmasks,
@@ -114,6 +121,10 @@ class Engine:
             depth_limit,
             node_budget,
         )
+        if self.kernel is _kernel_py:
+            # the system's split tables, built by the first large search
+            return _kernel_py.bfs_witness(*args, self._split_tables)
+        return self.kernel.bfs_witness(*args)
 
     def bfs_closure(
         self, starts: list[int], contexts: list[int], node_budget: int

@@ -293,7 +293,15 @@ class ReactionSystem:
     mask tuples, the form every search loop reads.
     """
 
-    __slots__ = ("species", "reactions", "rmasks", "imasks", "pmasks", "resource_mask")
+    __slots__ = (
+        "species",
+        "reactions",
+        "rmasks",
+        "imasks",
+        "pmasks",
+        "resource_mask",
+        "_split_tables",
+    )
 
     def __init__(self, species: SpeciesTable, reactions: Iterable[Reaction]):
         reactions = tuple(reactions)
@@ -313,6 +321,7 @@ class ReactionSystem:
         self.imasks = tuple(r.imask for r in reactions)
         self.pmasks = tuple(r.pmask for r in reactions)
         self.resource_mask = resource_mask
+        self._split_tables = None
 
     @property
     def resources(self) -> SpeciesSet:
@@ -322,6 +331,13 @@ class ReactionSystem:
         result_all(A, T) = result_all(A, T ∩ resources).
         """
         return SpeciesSet(self.species, self.resource_mask)
+
+    def split_tables(self) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+        """`res_split_tables` of the reactions, built on first use and kept
+        for the life of the system."""
+        if self._split_tables is None:
+            self._split_tables = res_split_tables(self.rmasks, self.imasks, self.pmasks)
+        return self._split_tables
 
     @property
     def producible(self) -> SpeciesSet:
@@ -579,21 +595,14 @@ def _or_table(masks: Iterable[int]) -> list[int]:
     return t
 
 
-def res_tables(
-    n: int, rmasks: tuple[int, ...], imasks: tuple[int, ...], pmasks: tuple[int, ...]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Lookup tables that evaluate res over states of `n` species a chunk
-    of W = RES_CHUNK_BITS bits at a time, as byte-wise CRC tables do.
+def _species_tables(
+    n: int, rmasks: tuple[int, ...], imasks: tuple[int, ...]
+) -> list[tuple[list[int], list[int]]]:
+    """(lacks, present) for each W-bit chunk c of the first `n` species.
 
-    Returns (disables, produces); chunk c covers bits c*W … c*W+W-1.
-    disables[c][v] is the mask of reactions that chunk c of a state
-    disables when it holds v: a reactant absent or an inhibitor present.
-    produces[c][v] is the union of the products of the reactions whose
-    bits v sets in chunk c of an enabled-reaction mask. So for a state s
-    below 2^n, the enabled reactions e are those in no disables[c][chunk
-    c of s], and res(s) is the union of produces[c][chunk c of e].
-    Reactant masks must lie below 2^n, as a ReactionSystem's do; inhibitor
-    bits at n or above are never present, so they disable nothing.
+    lacks[u] is the mask of reactions with a reactant among the bits u of
+    chunk c; present[v] is the mask of reactions with an inhibitor among
+    the bits v of chunk c. Inhibitor bits at n or above are left out.
     """
     w = RES_CHUNK_BITS
     in_range = (1 << n) - 1
@@ -610,14 +619,65 @@ def res_tables(
             low = i & -i
             inhibits[low.bit_length() - 1] |= bit
             i ^= low
+    return [
+        (_or_table(needed_by[lo : lo + w]), _or_table(inhibits[lo : lo + w]))
+        for lo in range(0, n, w)
+    ]
+
+
+def _products_tables(pmasks: tuple[int, ...]) -> list[list[int]]:
+    w = RES_CHUNK_BITS
+    return [_or_table(pmasks[lo : lo + w]) for lo in range(0, len(pmasks), w)]
+
+
+def res_tables(
+    n: int, rmasks: tuple[int, ...], imasks: tuple[int, ...], pmasks: tuple[int, ...]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Lookup tables that evaluate res over states of `n` species a chunk
+    of W = RES_CHUNK_BITS bits at a time, as byte-wise CRC tables do.
+
+    Returns (disables, produces); chunk c covers bits c*W … c*W+W-1.
+    disables[c][v] is the mask of reactions that chunk c of a state
+    disables when it holds v: a reactant absent or an inhibitor present.
+    produces[c][v] is the union of the products of the reactions whose
+    bits v sets in chunk c of an enabled-reaction mask. So for a state s
+    below 2^n, the enabled reactions e are those in no disables[c][chunk
+    c of s], and res(s) is the union of produces[c][chunk c of e].
+    Reactant masks must lie below 2^n, as a ReactionSystem's do; inhibitor
+    bits at n or above are never present, so they disable nothing.
+    """
     disables = []
-    for lo in range(0, n, w):
-        absent = _or_table(needed_by[lo : lo + w])
-        present = _or_table(inhibits[lo : lo + w])
-        full = len(absent) - 1
-        disables.append([absent[full ^ v] | present[v] for v in range(full + 1)])
-    produces = [_or_table(pmasks[lo : lo + w]) for lo in range(0, len(pmasks), w)]
-    return disables, produces
+    for lacks, present in _species_tables(n, rmasks, imasks):
+        full = len(lacks) - 1
+        disables.append([lacks[full ^ v] | present[v] for v in range(full + 1)])
+    return disables, _products_tables(pmasks)
+
+
+def res_split_tables(
+    rmasks: tuple[int, ...], imasks: tuple[int, ...], pmasks: tuple[int, ...]
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Lookup tables that compute `res_split` a chunk at a time.
+
+    Returns (absent, present, produces), chunked as in `res_tables` over
+    every species some reaction senses. absent[c][v] is the mask of
+    reactions with a reactant in chunk c that v lacks, present[c][v] the
+    mask of those with an inhibitor in chunk c that v holds. Write t[x]
+    for the union of t[c][chunk c of x] over the chunks. For a result d
+    and a union u, `res_split(d, u)` drops the reactions in present[d] |
+    absent[d | u]; of the others, those in absent[d] or in present[u] make
+    up `rest`, and `base` is produces[] of the remaining ones. Bits of d
+    and u above the last chunk are sensed by no reaction.
+    """
+    sensed = 0
+    for r, i in zip(rmasks, imasks):
+        sensed |= r | i
+    absent = []
+    present = []
+    for lacks, holds in _species_tables(sensed.bit_length(), rmasks, imasks):
+        full = len(lacks) - 1
+        absent.append([lacks[full ^ v] for v in range(full + 1)])
+        present.append(holds)
+    return absent, present, _products_tables(pmasks)
 
 
 def result_all(system: ReactionSystem, state: SpeciesSet) -> SpeciesSet:
