@@ -3,7 +3,9 @@
 A decision's verdict, counterexample, `pairs_checked` and node budget all
 come from one `ResultGraph`: no full state is built and no context is
 listed. The budget counts the result values the graph expands, so a
-budget that is never hit costs nothing beyond the count.
+budget that is never hit costs nothing beyond the count. Target mode
+scans its sources one by one (`scan_pairs`); full mode scans the image's
+results, whose sources share one answer (`scan_results`).
 
 `control._decide` imports this module when a decision first needs it, so
 the commands that never decide do not load it.
@@ -11,6 +13,8 @@ the commands that never decide do not load it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import comb
 from typing import Optional, Sequence
 
 from ._engine import Engine
@@ -136,22 +140,20 @@ def scan_pairs(
     y_masks: list[int],
     outside_subs: list[int],
 ) -> tuple[int, Optional[tuple[int, int]]]:
-    """Scan pairs in canonical order; return (pairs checked through the
-    decision point, first counterexample or None).
+    """Target mode: scan pairs in canonical order; return (pairs checked
+    through the decision point, first counterexample or None).
 
     A source X reaches end set Y when some result reachable from the
-    results of its starts covers Y, so each source is one bitset test
-    against the result graph; only a miss looks up the first end set
-    missed and the pairs checked before it.
+    results of its starts X ∪ Z, Z ⊆ S ∖ T, covers Y, so each source is
+    one bitset test against the result graph; only a miss looks up the
+    first end set missed and the pairs checked before it.
     """
-    full = outside_subs == [0]
     y_index = {y: j for j, y in enumerate(y_masks)}
     every = (1 << len(y_masks)) - 1
     checked = 0
     for x in x_masks:
-        results = [eng.res(x)] if full else {eng.res(x | z) for z in outside_subs}
         covered = 0
-        for d in results:
+        for d in {eng.res(x | z) for z in outside_subs}:
             covered |= graph.reached(d)
         own = y_index.get(x)
         missed = every & ~covered
@@ -164,3 +166,64 @@ def scan_pairs(
         checked += j + 1 - (own is not None and own < j)
         return checked, (x, y_masks[j])
     return checked, None
+
+
+def scan_results(
+    eng: Engine, graph: ResultGraph, y_masks: list[int]
+) -> tuple[int, Optional[tuple[int, int]]]:
+    """Full mode (T = S): the same answer as a canonical pair scan over
+    every source, from one graph test per distinct result.
+
+    Every source W with res(W) = d misses the end sets d's bitset lacks,
+    except that W need not reach itself. So the sources of d fail from
+    its least source on, unless the one end set d misses is that least
+    source: then they fail from its second source on, or never when it
+    has no second. Results are taken in the order of their least sources,
+    which is the order in which a scan over sources first meets them, so
+    the graph expands the same values in the same order, and the scan
+    stops at the first result whose least source comes after the first
+    failing source found. `pairs_checked` follows in closed form.
+    """
+    every = (1 << len(y_masks)) - 1
+    first = None
+    for least, second, d in eng.least_sources():
+        if first is not None and (least.bit_count(), least) > first[0]:
+            break
+        missed = every & ~graph.reached(d)
+        if not missed:
+            continue
+        x = least
+        only = missed.bit_length() - 1
+        if missed == 1 << only and y_masks[only] == least:
+            if second is None:
+                continue
+            x = second
+        key = (x.bit_count(), x)
+        if first is None or key < first[0]:
+            first = (key, x, missed)
+    n_ends = len(y_masks)
+    if first is None:
+        # each of the 2^n sources is paired with every end set but itself
+        return eng.species_mask * n_ends, None
+    key, x, missed = first
+    # the sources before x are paired with every end set but themselves,
+    # and `before` end sets are among them
+    before = bisect_left([(y.bit_count(), y) for y in y_masks], key)
+    own = before if before < n_ends and y_masks[before] == x else None
+    if own is not None:
+        missed &= ~(1 << own)
+    j = (missed & -missed).bit_length() - 1
+    checked = _rank(x, eng.species_mask.bit_length()) * n_ends - before
+    return checked + j + 1 - (own is not None and own < j), (x, y_masks[j])
+
+
+def _rank(x: int, n: int) -> int:
+    """The position of x among the subsets of n species in canonical
+    order, by the combinatorial number system."""
+    k = x.bit_count()
+    rank = sum(comb(n, size) for size in range(k))
+    for i in range(1, k + 1):
+        low = x & -x
+        rank += comb(low.bit_length() - 1, i)
+        x ^= low
+    return rank

@@ -14,10 +14,12 @@ first counterexample in canonical order: ascending (|X|, X encoding,
 
 An exhaustive decision never searches full states or lists contexts: it
 walks one graph over result values per call (`_pairscan.ResultGraph`),
-expanding each value once, and tests each source against the end sets
-its starts' results reach. Its node budget counts the result values
-expanded; a sampled decision and `find_witness` search full states, and
-their budgets count states.
+expanding each value once. In target mode it tests each source against
+the end sets its starts' results reach; in full mode (T = S) the sources
+that share a result share its answer, so it tests each result of the
+image once, in the order of its least source. Its node budget counts the
+result values expanded; a sampled decision and `find_witness` search full
+states, and their budgets count states.
 """
 
 from __future__ import annotations
@@ -512,7 +514,7 @@ def _decide(
     eng: Optional[Engine] = None,
 ) -> ControllabilityVerdict:
     """The pair scan behind every decision; `eng` lets the probes of one
-    minimal scan share a result memo."""
+    minimal scan share its result memo, image and least sources."""
     budget = _node_budget(node_budget)
     if species_limit < 0:
         raise RsysError(f"species limit must be at least 0, got {species_limit}")
@@ -584,7 +586,8 @@ def _decide(
 
     # End sets come from the image of the result map; enumerating it can
     # be exponential in the sensed species, so only the exhaustive scope
-    # (whose size the ceilings above already bound) may pay for it.
+    # (whose size the ceilings above already bound) may pay for it. In full
+    # mode the same expansion also gives the least sources of each result.
     ends = {v & t_mask for v in eng.image()}
     if proviso == "superset":
         down: set[int] = set()
@@ -595,13 +598,20 @@ def _decide(
     y_masks = canonical_sorted(ends)
 
     # Imported here so that commands that never decide do not load it.
-    from ._pairscan import ResultGraph, scan_pairs
+    from ._pairscan import ResultGraph, scan_pairs, scan_results
 
     union, limit = constraint.span(table)
     graph = ResultGraph(eng, union, limit, y_masks, t_mask, budget)
-    checked, cex = scan_pairs(
-        eng, graph, submasks_ascending(t_mask), y_masks, outside_subs
-    )
+    if outside:
+        # target mode: each source's start frontier X ∪ Z, Z ⊆ S ∖ T,
+        # spans several results, so the sources are scanned one by one
+        checked, cex = scan_pairs(
+            eng, graph, submasks_ascending(t_mask), y_masks, outside_subs
+        )
+    else:
+        # full mode: the sources sharing a result share its answer, so
+        # the scan runs over the image's results, not over 2^|S| sources
+        checked, cex = scan_results(eng, graph, y_masks)
     if cex is None:
         return ControllabilityVerdict(True, None, checked)
     return ControllabilityVerdict(

@@ -543,7 +543,11 @@ def res_split(
 
 
 def res_values(
-    base: int, rest: tuple[tuple[int, int, int], ...], union: int, limit: int
+    base: int,
+    rest: tuple[tuple[int, int, int], ...],
+    union: int,
+    limit: int,
+    leaves: Optional[list[tuple[int, int, int]]] = None,
 ) -> set[int]:
     """Every distinct result of a `res_split(d, union)` over the contexts
     c ⊆ union with at most `limit` species: the set of res(c | d).
@@ -555,12 +559,17 @@ def res_values(
     left unassigned are then absent, which every limit admits. Branches
     wait on a list, not on the call stack, so an entry with thousands of
     reactants needs no deep recursion.
+
+    With `leaves`, each branch's end is also appended to it as a cube
+    (present, absent, result): every admitted c that holds the species
+    `present` and none of `absent` has res(c | d) = result. The cubes are
+    disjoint, and without a binding limit they cover every c ⊆ union.
     """
     out: set[int] = set()
     # An inhibitor outside the union is never in c, so it blocks nothing.
-    todo = [(base, [(r, i & union, p) for r, i, p in rest], limit)]
+    todo = [(base, [(r, i & union, p) for r, i, p in rest], limit, 0, 0)]
     while todo:
-        base, live, room = todo.pop()
+        base, live, room, present, absent = todo.pop()
         while True:
             kept = []
             for r, i, p in live:
@@ -572,15 +581,24 @@ def res_values(
                     kept.append((r, i, p))
             if not kept:
                 out.add(base)
+                if leaves is not None:
+                    leaves.append((present, absent, base))
                 break
             r, i, _ = kept[0]
             split = r or i
             s = split & -split
             todo.append(
-                (base, [(r, i & ~s, p) for r, i, p in kept if not r & s], room)
+                (
+                    base,
+                    [(r, i & ~s, p) for r, i, p in kept if not r & s],
+                    room,
+                    present,
+                    absent | s,
+                )
             )
             live = [(r & ~s, i, p) for r, i, p in kept if not i & s]
             room -= 1
+            present |= s
     return out
 
 

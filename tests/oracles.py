@@ -343,6 +343,32 @@ def pair_scan_oracle(
     return True, None, checked, expanded()
 
 
+def source_scan_oracle(
+    reached, n_species: int, y_masks: list[int], rmasks, imasks, pmasks
+) -> tuple[int, Optional[tuple[int, int]]]:
+    """A full-mode (T = S) decision's pair scan, one source at a time.
+
+    Sources are every subset of the n species in canonical order,
+    ascending by (size, encoding); `y_masks` are the end sets in that
+    order. `reached(d)` is the bitset of end sets reachable from the
+    result d (a decision's `ResultGraph.reached`), called once per source
+    on its `res`, so a budgeted graph stops where a per-source scan would.
+    Each source is paired with every end set but itself. Returns (pairs
+    checked through the first counterexample, that counterexample as
+    (source, end set) masks, or None)."""
+    sources = sorted(range(1 << n_species), key=lambda m: (m.bit_count(), m))
+    checked = 0
+    for x in sources:
+        covered = reached(_res_mask(x, rmasks, imasks, pmasks))
+        for j, y in enumerate(y_masks):
+            if y == x:
+                continue
+            checked += 1
+            if not covered >> j & 1:
+                return checked, (x, y)
+    return checked, None
+
+
 def random_system(
     rng: random.Random, n_species: int, n_reactions: int
 ) -> tuple[list[str], list[Triple]]:

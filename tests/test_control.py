@@ -2,13 +2,16 @@
 
 import random
 from functools import partial
+from math import comb
 
 import pytest
 
 import rsys._pairscan
 from rsys._engine import Engine
+from rsys._pairscan import ResultGraph
 from rsys.control import (
     AllowedSet,
+    ControllabilityVerdict,
     ControlQuery,
     Exhaustive,
     MaxCardinality,
@@ -24,7 +27,7 @@ from rsys.control import (
     trivial_witness,
     verify_witness,
 )
-from rsys.core import SpeciesTable
+from rsys.core import SpeciesTable, canonical_sorted
 from rsys.dynamics import (
     context_graph,
     image_membership,
@@ -38,6 +41,7 @@ from oracles import (
     res_oracle,
     result_closure,
     shortest_witness_len,
+    source_scan_oracle,
 )
 from util import canonical_subsets, make_system, names_of, plain_reactions
 
@@ -776,6 +780,121 @@ class TestResultGraph:
         assert closure_calls == []
         assert len(expanded) == len(set(expanded)) == len(reachable)
         assert {names_of(table.from_mask(d)) for d in expanded} == reachable
+
+
+class TestResultScan:
+    """Full mode (T = S) scans the image's results, not every source."""
+
+    def test_source_missing_only_itself_fails_at_its_next_source(self):
+        # res(W) = {a} while b ∉ W: the cube of sources with b absent and
+        # a, c free. Under empty contexts {a} reaches only itself, so the
+        # cube misses the end set {} alone, which is its least source: {}
+        # passes and the next source, {} plus the lowest free species a,
+        # fails first.
+        system = make_system(["a", "b", "c"], [((), ("b",), ("a",))])
+        table = system.species
+        verdict = decide_controllable(system, MaxCardinality(0))
+        assert verdict == ControllabilityVerdict(
+            False, (table.set_of(["a"]), table.set_of([])), 2
+        )
+
+    def test_next_source_may_lie_in_the_next_cube(self):
+        # res(W) = {a} unless W = {a, b}: the cubes a absent (b free) and
+        # a present, b absent. The least source {} misses only itself, so
+        # the first failure is the second source, {a}, the least member of
+        # the second cube, before {b} in the first.
+        system = make_system(
+            ["a", "b"], [((), ("a",), ("a",)), ((), ("b",), ("a",))]
+        )
+        table = system.species
+        verdict = decide_controllable(system, MaxCardinality(0))
+        assert verdict == ControllabilityVerdict(
+            False, (table.set_of(["a"]), table.set_of([])), 2
+        )
+
+    def test_single_source_missing_only_itself_passes(self):
+        # res({}) = {b}, and the only source with that result is {}; its
+        # reach lacks only the end set {}, so it passes and the first
+        # failure is the later source {b}.
+        system = make_system(
+            ["a", "b"], [((), ("a",), ("b",)), (("b",), (), ("a", "b"))]
+        )
+        table = system.species
+        verdict = decide_controllable(system, MaxCardinality(0))
+        assert verdict == ControllabilityVerdict(
+            False, (table.set_of(["b"]), table.set_of([])), 6
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("trap", [False, True])
+    def test_matches_the_per_source_scan(self, seed, trap):
+        system, constraint = scan_case(seed, trap)
+        table = system.species
+        union, limit = constraint.span(table)
+
+        def per_source(budget):
+            eng = Engine(system)
+            y_masks = canonical_sorted(eng.image())
+            graph = ResultGraph(
+                eng, union, limit, y_masks, eng.species_mask, budget
+            )
+            checked, cex = source_scan_oracle(
+                graph.reached, len(table), y_masks,
+                system.rmasks, system.imasks, system.pmasks,
+            )
+            verdict = ControllabilityVerdict(
+                cex is None,
+                None if cex is None else tuple(map(table.from_mask, cex)),
+                checked,
+            )
+            return verdict, graph.expanded
+
+        expected, expanded = per_source(1 << 62)
+        assert decide_controllable(system, constraint, species_limit=12) == expected
+        for budget in (expanded - 1, expanded // 2):
+            with pytest.raises(BudgetError) as want:
+                per_source(budget)
+            with pytest.raises(BudgetError) as got:
+                decide_controllable(
+                    system, constraint, species_limit=12, node_budget=budget
+                )
+            assert str(got.value) == str(want.value)
+            assert got.value.visited == want.value.visited == budget
+
+    def test_trap_cases_fail_late_in_canonical_order(self):
+        # The cases above include false verdicts whose first failing
+        # source comes after most sources: the scan must then stop late.
+        late = 0
+        for seed in range(12):
+            system, constraint = scan_case(seed, trap=True)
+            verdict = decide_controllable(system, constraint, species_limit=12)
+            n = len(system.species)
+            if not verdict.decision:
+                size = len(verdict.counterexample[0])
+                late += sum(comb(n, k) for k in range(size)) > 1 << n - 1
+        assert late >= 10
+
+
+def scan_case(seed: int, trap: bool):
+    """A seeded random system of 8-12 species and a constraint. With a
+    trap, n−2 species sustain each other once all present, so every source
+    holding them fails, and under a loose constraint the first failing
+    source ranks high in canonical order."""
+    rng = random.Random(seed)
+    n = 8 + seed % 5
+    names, reactions = random_system(rng, n, rng.randint(2, n))
+    if trap:
+        held = frozenset(rng.sample(names, n - 2))
+        reactions.append((held, frozenset(), held))
+    system = make_system(names, reactions)
+    table = system.species
+    if trap:
+        constraint = [MaxCardinality(n - 1), AllowedSet(table.full_set)][seed % 2]
+    elif seed % 2:
+        constraint = MaxCardinality(rng.choice([1, 2, n - 1]))
+    else:
+        constraint = AllowedSet(table.set_of(rng.sample(names, n - 1)))
+    return system, constraint
 
 
 @pytest.mark.parametrize(

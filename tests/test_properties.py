@@ -533,6 +533,53 @@ class TestDecisions:
             )
 
 
+    @given(
+        data=st.data(),
+        system=systems(min_species=1, max_species=5, max_reactions=5),
+        call=st.sampled_from(["plain", "projection", "superset"]),
+    )
+    @fewer
+    def test_full_mode_matches_the_pair_scan_oracle(self, data, system, call):
+        # T = S: the scan over the image's results answers as the oracle's
+        # scan over every source, budget stops included.
+        table = system.species
+        names = list(table.names)
+        if len(names) > 1 and data.draw(st.booleans()):
+            n = data.draw(st.integers(0, len(names) - 1))
+            constraint = MaxCardinality(n)
+            allowed = [s for s in canonical_subsets(names) if len(s) <= n]
+        else:
+            chosen = sorted(data.draw(st.sets(st.sampled_from(names))))
+            constraint = AllowedSet(table.set_of(chosen))
+            allowed = canonical_subsets(chosen)
+        proviso = "superset" if call == "superset" else "projection"
+        decision, cex, checked, expanded = oracles.pair_scan_oracle(
+            plain_reactions(system), names, frozenset(names), allowed, proviso
+        )
+
+        def decide(budget):
+            if call == "plain":
+                return decide_controllable(system, constraint, node_budget=budget)
+            return decide_target_controllable(
+                system, table.full_set, constraint, proviso=proviso,
+                node_budget=budget,
+            )
+
+        with pytest.raises(BudgetError) as err:
+            decide(expanded - 1)
+        assert err.value.visited == expanded - 1
+        for budget in (expanded, None):
+            verdict = decide(budget)
+            got = verdict.counterexample
+            if got is not None:
+                got = (names_of(got[0]), names_of(got[1]))
+            assert (verdict.decision, got, verdict.pairs_checked) == (
+                decision,
+                cex,
+                checked,
+            )
+
+
 class TestContextGraph:
     @given(
         data=st.data(),

@@ -19,6 +19,7 @@ CLI_EXAMPLES = [
     "rsys corpus",
     "rsys decide chain.rs.txt --constraint max-cardinality=1",
     "rsys decide chain.rs.txt --minimal-n",
+    "rsys decide wide17.rs.txt --constraint max-cardinality=1 --force",
     'rsys graph oncogenic --input-set "{GF, iPI3K}" --seeds S19 --dot graph.dot',
 ]
 
@@ -75,6 +76,9 @@ def test_cli_example_prints_the_readme_text(capsys, monkeypatch, tmp_path, comma
     assert command in shown
     (chain,) = [body for _, body in code_blocks(README) if body.startswith("@name chain\n")]
     (tmp_path / "chain.rs.txt").write_text(chain)
+    # The README's wide17: 17 species and no reactions.
+    species = ", ".join(f"s{k}" for k in range(17))
+    (tmp_path / "wide17.rs.txt").write_text(f"@name wide17\n@species {species}\n")
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == shown[command]
