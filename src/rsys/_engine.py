@@ -1,12 +1,13 @@
-"""Mask-level engine: backend selection, memoized results and image.
+"""Mask-level engine: backend selection and the kernel searches.
 
 The engine reads the mask tuples a ReactionSystem builds once, memoizes
-results, the image and the least states of each image result for the life
-of one call, and routes the witness searches to a kernel: the pure
-`_kernel_py`, or `_kernel_c`, a hand-written C++ extension with the same
-contract that `setup.py` builds when a C++ compiler is present. Only the
-kernel searches (`find_witness` and the decisions) build one; plain
-result-map evaluation calls `core.res_mask`.
+results for the life of one call, and routes the witness searches to a
+kernel: the pure `_kernel_py`, or `_kernel_c`, a hand-written C++
+extension with the same contract that `setup.py` builds when a C++
+compiler is present. Only `find_witness` and sampled decisions build one.
+Plain result-map evaluation calls `core.res_mask`, and an exhaustive
+decision reads the image and its least sources from the system
+(`ReactionSystem.least_sources`), which builds them once per system.
 Backend choice: an explicit argument wins, then the RSYS_KERNEL
 environment variable ("pure" or "compiled"), then the compiled kernel
 whenever it is importable and the species table fits in 64 bits.
@@ -18,7 +19,7 @@ import os
 from typing import Optional
 
 from . import _kernel_py
-from .core import ReactionSystem, res_split, res_values
+from .core import ReactionSystem
 from .core import submasks_ascending  # noqa: F401  (re-exported for callers)
 from .errors import RsysError
 
@@ -73,13 +74,9 @@ class Engine:
         "imasks",
         "pmasks",
         "resource_mask",
-        "species_mask",
         "kernel",
-        "_split_tables",
+        "system",
         "_res_cache",
-        "_image",
-        "_cubes",
-        "_least_sources",
     )
 
     def __init__(self, system: ReactionSystem, backend: Optional[str] = None):
@@ -87,13 +84,9 @@ class Engine:
         self.imasks = system.imasks
         self.pmasks = system.pmasks
         self.resource_mask = system.resource_mask
-        self.species_mask = (1 << len(system.species)) - 1
         self.kernel = _pick_kernel(len(system.species), backend)
-        self._split_tables = system.split_tables
+        self.system = system
         self._res_cache: dict[int, int] = {}
-        self._image: Optional[frozenset[int]] = None
-        self._cubes: list[tuple[int, int, int]] = []
-        self._least_sources: Optional[list] = None
 
     @property
     def backend(self) -> str:
@@ -130,7 +123,7 @@ class Engine:
         )
         if self.kernel is _kernel_py:
             # the system's split tables, built by the first large search
-            return _kernel_py.bfs_witness(*args, self._split_tables)
+            return _kernel_py.bfs_witness(*args, self.system.split_tables)
         return self.kernel.bfs_witness(*args)
 
     def bfs_closure(
@@ -141,47 +134,5 @@ class Engine:
         )
 
     def image(self) -> frozenset[int]:
-        """All result masks: res over every subset of the sensed species.
-
-        Enumerated once per engine by Shannon expansion (`core.res_values`
-        on the split of the empty result), so the probes of a minimal scan
-        share it; the work follows the reactions' structure, not the 2^k
-        subsets of the k sensed species. The same expansion keeps its
-        leaves, the cubes of sources that share one result, for
-        `least_sources`.
-        """
-        if self._image is None:
-            full = self.resource_mask
-            base, rest = res_split(0, full, self.rmasks, self.imasks, self.pmasks)
-            self._image = frozenset(
-                res_values(base, rest, full, full.bit_count(), self._cubes)
-            )
-        return self._image
-
-    def least_sources(self) -> list[tuple[int, Optional[int], int]]:
-        """(least, second, d) for each result d of the image: the two
-        canonically least states W with res(W) = d, second None when d has
-        one such state. Ascending by least, in canonical order.
-
-        A cube (P, A, d) holds every W ⊇ P that misses A, so its least
-        member is P and its next is P plus its lowest free species; the
-        second state of d is the smaller of that and the next cube's P.
-        Built from the image's cubes once per engine, so it never has
-        more entries than the image.
-        """
-        if self._least_sources is None:
-            if self._image is None:
-                self.image()
-            cubes = sorted((p.bit_count(), p, a, d) for p, a, d in self._cubes)
-            heads: dict[int, list] = {}
-            for size, p, a, d in cubes:
-                head = heads.get(d)
-                if head is None:
-                    free = self.species_mask & ~(p | a)
-                    heads[d] = [p, p | free & -free if free else None]
-                    continue
-                second = head[1]
-                if second is None or (size, p) < (second.bit_count(), second):
-                    head[1] = p
-            self._least_sources = [(p, q, d) for d, (p, q) in heads.items()]
-        return self._least_sources
+        """All result masks; a view over the system's `least_sources`."""
+        return frozenset(d for _, _, d in self.system.least_sources())

@@ -1,11 +1,13 @@
 """The exhaustive pair scan behind a decision, over the result graph.
 
 A decision's verdict, counterexample, `pairs_checked` and node budget all
-come from one `ResultGraph`: no full state is built and no context is
-listed. The budget counts the result values the graph expands, so a
-budget that is never hit costs nothing beyond the count. Target mode
-scans its sources one by one (`scan_pairs`); full mode scans the image's
-results, whose sources share one answer (`scan_results`).
+come from one `ResultGraph`: no full state is built, no context is listed
+and no kernel is called; everything reads the system's masks. The budget
+counts the result values the graph expands, so a budget that is never hit
+costs nothing beyond the count. Target mode scans its sources one by one
+(`scan_pairs`); full mode scans the image's results, whose sources share
+one answer (`scan_results`), in the order of the system's
+`least_sources`.
 
 `control._decide` imports this module when a decision first needs it, so
 the commands that never decide do not load it.
@@ -17,8 +19,7 @@ from bisect import bisect_left
 from math import comb
 from typing import Optional, Sequence
 
-from ._engine import Engine
-from .core import res_split, res_values
+from .core import ReactionSystem, res_mask, res_split, res_values
 from .errors import BudgetError
 
 
@@ -40,7 +41,7 @@ class ResultGraph:
 
     def __init__(
         self,
-        eng: Engine,
+        system: ReactionSystem,
         union: int,
         limit: int,
         y_masks: list[int],
@@ -49,7 +50,7 @@ class ResultGraph:
     ):
         self.union = union
         self.limit = limit
-        self.masks = (eng.rmasks, eng.imasks, eng.pmasks)
+        self.masks = (system.rmasks, system.imasks, system.pmasks)
         self.ends_high_first = y_masks[::-1]
         self.t_mask = t_mask
         self.budget = budget
@@ -134,7 +135,7 @@ class ResultGraph:
 
 
 def scan_pairs(
-    eng: Engine,
+    system: ReactionSystem,
     graph: ResultGraph,
     x_masks: Sequence[int],
     y_masks: list[int],
@@ -150,10 +151,11 @@ def scan_pairs(
     """
     y_index = {y: j for j, y in enumerate(y_masks)}
     every = (1 << len(y_masks)) - 1
+    masks = (system.rmasks, system.imasks, system.pmasks)
     checked = 0
     for x in x_masks:
         covered = 0
-        for d in {eng.res(x | z) for z in outside_subs}:
+        for d in {res_mask(x | z, *masks) for z in outside_subs}:
             covered |= graph.reached(d)
         own = y_index.get(x)
         missed = every & ~covered
@@ -169,7 +171,7 @@ def scan_pairs(
 
 
 def scan_results(
-    eng: Engine, graph: ResultGraph, y_masks: list[int]
+    system: ReactionSystem, graph: ResultGraph, y_masks: list[int]
 ) -> tuple[int, Optional[tuple[int, int]]]:
     """Full mode (T = S): the same answer as a canonical pair scan over
     every source, from one graph test per distinct result.
@@ -186,7 +188,7 @@ def scan_results(
     """
     every = (1 << len(y_masks)) - 1
     first = None
-    for least, second, d in eng.least_sources():
+    for least, second, d in system.least_sources():
         if first is not None and (least.bit_count(), least) > first[0]:
             break
         missed = every & ~graph.reached(d)
@@ -202,9 +204,10 @@ def scan_results(
         if first is None or key < first[0]:
             first = (key, x, missed)
     n_ends = len(y_masks)
+    n = len(system.species)
     if first is None:
         # each of the 2^n sources is paired with every end set but itself
-        return eng.species_mask * n_ends, None
+        return ((1 << n) - 1) * n_ends, None
     key, x, missed = first
     # the sources before x are paired with every end set but themselves,
     # and `before` end sets are among them
@@ -213,7 +216,7 @@ def scan_results(
     if own is not None:
         missed &= ~(1 << own)
     j = (missed & -missed).bit_length() - 1
-    checked = _rank(x, eng.species_mask.bit_length()) * n_ends - before
+    checked = _rank(x, n) * n_ends - before
     return checked + j + 1 - (own is not None and own < j), (x, y_masks[j])
 
 

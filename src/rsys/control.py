@@ -12,14 +12,16 @@ map (target mode: to projections of the image onto T), and report the
 first counterexample in canonical order: ascending (|X|, X encoding,
 |Y|, Y encoding).
 
-An exhaustive decision never searches full states or lists contexts: it
-walks one graph over result values per call (`_pairscan.ResultGraph`),
-expanding each value once. In target mode it tests each source against
-the end sets its starts' results reach; in full mode (T = S) the sources
-that share a result share its answer, so it tests each result of the
-image once, in the order of its least source. Its node budget counts the
-result values expanded; a sampled decision and `find_witness` search full
-states, and their budgets count states.
+An exhaustive decision never searches full states, lists contexts or
+builds an `Engine`: it walks one graph over result values per call
+(`_pairscan.ResultGraph`), expanding each value once, and takes its end
+sets from the image that `ReactionSystem.least_sources` builds once per
+system. In target mode it tests each source against the end sets its
+starts' results reach; in full mode (T = S) the sources that share a
+result share its answer, so it tests each result of the image once, in
+the order of its least source. Its node budget counts the result values
+expanded; a sampled decision and `find_witness` search full states with
+a kernel `Engine`, and their budgets count states.
 """
 
 from __future__ import annotations
@@ -511,10 +513,10 @@ def _decide(
     species_limit: int,
     frontier_limit: int,
     node_budget: Optional[int],
-    eng: Optional[Engine] = None,
 ) -> ControllabilityVerdict:
-    """The pair scan behind every decision; `eng` lets the probes of one
-    minimal scan share its result memo, image and least sources."""
+    """The pair scan behind every decision. An exhaustive one reads the
+    image and least sources that the system keeps, so the decisions and
+    minimal-scan probes on one system build them once."""
     budget = _node_budget(node_budget)
     if species_limit < 0:
         raise RsysError(f"species limit must be at least 0, got {species_limit}")
@@ -543,22 +545,19 @@ def _decide(
             f"(limit {frontier_limit}); pin the full start state with "
             "find_witness instead, or raise frontier_limit"
         )
-    # Only the kernel searches of a sampled decision list the contexts;
-    # the result graph reads the constraint's span instead.
-    if isinstance(scope, Sampled):
-        ctx_masks = _context_masks(system, constraint)
-    else:
-        constraint.bind_check(table)
-    if eng is None:
-        eng = Engine(system)
     outside_subs = submasks_ascending(outside)
 
     if isinstance(scope, Sampled):
+        # Only the kernel searches of a sampled decision list the contexts;
+        # the result graph reads the constraint's span instead.
+        ctx_masks = _context_masks(system, constraint)
+        eng = Engine(system)
+        masks = (system.rmasks, system.imasks, system.pmasks)
         rng = random.Random(scope.seed)
         n = len(table)
         checked = 0
         for _ in range(scope.k):
-            y = eng.res(rng.getrandbits(n)) & t_mask
+            y = res_mask(rng.getrandbits(n), *masks) & t_mask
             if proviso == "superset":
                 y &= rng.getrandbits(n)
             x = rng.getrandbits(n) & t_mask
@@ -584,11 +583,12 @@ def _decide(
                 )
         return ControllabilityVerdict(True, None, checked)
 
+    constraint.bind_check(table)
     # End sets come from the image of the result map; enumerating it can
     # be exponential in the sensed species, so only the exhaustive scope
     # (whose size the ceilings above already bound) may pay for it. In full
     # mode the same expansion also gives the least sources of each result.
-    ends = {v & t_mask for v in eng.image()}
+    ends = {d & t_mask for _, _, d in system.least_sources()}
     if proviso == "superset":
         down: set[int] = set()
         for proj in ends:
@@ -601,17 +601,17 @@ def _decide(
     from ._pairscan import ResultGraph, scan_pairs, scan_results
 
     union, limit = constraint.span(table)
-    graph = ResultGraph(eng, union, limit, y_masks, t_mask, budget)
+    graph = ResultGraph(system, union, limit, y_masks, t_mask, budget)
     if outside:
         # target mode: each source's start frontier X ∪ Z, Z ⊆ S ∖ T,
         # spans several results, so the sources are scanned one by one
         checked, cex = scan_pairs(
-            eng, graph, submasks_ascending(t_mask), y_masks, outside_subs
+            system, graph, submasks_ascending(t_mask), y_masks, outside_subs
         )
     else:
         # full mode: the sources sharing a result share its answer, so
         # the scan runs over the image's results, not over 2^|S| sources
-        checked, cex = scan_results(eng, graph, y_masks)
+        checked, cex = scan_results(system, graph, y_masks)
     if cex is None:
         return ControllabilityVerdict(True, None, checked)
     return ControllabilityVerdict(
@@ -685,8 +685,8 @@ def _minimal_probe(
 ) -> Callable[[ContextConstraint], ControllabilityVerdict]:
     """The decision a minimal scan repeats with one constraint after
     another. The budget and target set (None means every species) are
-    checked once, and the probes share one Engine, so its result memo and
-    image carry from probe to probe."""
+    checked once; exhaustive probes share the image and least sources the
+    system keeps."""
     _node_budget(node_budget)
     return partial(
         _decide,
@@ -697,7 +697,6 @@ def _minimal_probe(
         species_limit=species_limit,
         frontier_limit=frontier_limit,
         node_budget=node_budget,
-        eng=Engine(system),
     )
 
 

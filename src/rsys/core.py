@@ -301,6 +301,7 @@ class ReactionSystem:
         "pmasks",
         "resource_mask",
         "_split_tables",
+        "_least_sources",
     )
 
     def __init__(self, species: SpeciesTable, reactions: Iterable[Reaction]):
@@ -322,6 +323,7 @@ class ReactionSystem:
         self.pmasks = tuple(r.pmask for r in reactions)
         self.resource_mask = resource_mask
         self._split_tables = None
+        self._least_sources = None
 
     @property
     def resources(self) -> SpeciesSet:
@@ -338,6 +340,39 @@ class ReactionSystem:
         if self._split_tables is None:
             self._split_tables = res_split_tables(self.rmasks, self.imasks, self.pmasks)
         return self._split_tables
+
+    def least_sources(self) -> list[tuple[int, Optional[int], int]]:
+        """(least, second, d) for each result d of the image: the two
+        canonically least states W with res(W) = d, second None when d has
+        one such state. Ascending by least, in canonical order.
+
+        The image is enumerated by Shannon expansion (`res_values` on the
+        split of the empty result), so the work follows the reactions'
+        structure, not the 2^k subsets of the k sensed species. Its cubes
+        (P, A, d) each hold every W ⊇ P that misses A, so a cube's least
+        member is P and its next is P plus its lowest free species; the
+        second state of d is the smaller of that and the next cube's P.
+        Built on first use and kept for the life of the system; the cubes
+        are dropped once the list, one entry per result, is built.
+        """
+        if self._least_sources is None:
+            sensed = self.resource_mask
+            species = (1 << len(self.species)) - 1
+            cubes: list[tuple[int, int, int]] = []
+            base, rest = res_split(0, sensed, self.rmasks, self.imasks, self.pmasks)
+            res_values(base, rest, sensed, sensed.bit_count(), cubes)
+            # cubes are disjoint, so no two share their least member
+            cubes.sort(key=lambda cube: _canonical_key(cube[0]))
+            heads: dict[int, list] = {}
+            for p, a, d in cubes:
+                head = heads.get(d)
+                if head is None:
+                    free = species & ~(p | a)
+                    heads[d] = [p, p | free & -free if free else None]
+                elif head[1] is None or _canonical_key(p) < _canonical_key(head[1]):
+                    head[1] = p
+            self._least_sources = [(p, q, d) for d, (p, q) in heads.items()]
+        return self._least_sources
 
     @property
     def producible(self) -> SpeciesSet:
@@ -482,6 +517,10 @@ def _check_table(sset: SpeciesSet, system: ReactionSystem, what: str) -> None:
         raise SpeciesMismatchError(
             f"{what} uses a different species table than the system"
         )
+
+
+def _canonical_key(mask: int) -> tuple[int, int]:
+    return mask.bit_count(), mask
 
 
 def canonical_sorted(masks: Iterable[int]) -> list[int]:

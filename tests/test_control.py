@@ -6,7 +6,9 @@ from math import comb
 
 import pytest
 
+import rsys._engine
 import rsys._pairscan
+import rsys.core
 from rsys._engine import Engine
 from rsys._pairscan import ResultGraph
 from rsys.control import (
@@ -27,7 +29,7 @@ from rsys.control import (
     trivial_witness,
     verify_witness,
 )
-from rsys.core import SpeciesTable, canonical_sorted
+from rsys.core import SpeciesTable, canonical_sorted, res_mask
 from rsys.dynamics import (
     context_graph,
     image_membership,
@@ -831,12 +833,14 @@ class TestResultScan:
         system, constraint = scan_case(seed, trap)
         table = system.species
         union, limit = constraint.span(table)
+        masks = (system.rmasks, system.imasks, system.pmasks)
+        y_masks = canonical_sorted(
+            {res_mask(w, *masks) for w in range(1 << len(table))}
+        )
 
         def per_source(budget):
-            eng = Engine(system)
-            y_masks = canonical_sorted(eng.image())
             graph = ResultGraph(
-                eng, union, limit, y_masks, eng.species_mask, budget
+                system, union, limit, y_masks, table.full_set.mask, budget
             )
             checked, cex = source_scan_oracle(
                 graph.reached, len(table), y_masks,
@@ -897,22 +901,27 @@ def scan_case(seed: int, trap: bool):
     return system, constraint
 
 
-@pytest.mark.parametrize(
-    "scan",
-    [
-        lambda system: minimal_n(system),
-        lambda system: minimal_I(system, system.species.full_set),
-    ],
-    ids=["minimal_n", "minimal_I"],
-)
-def test_minimal_scan_probes_share_one_engine(engine_builds, chain, scan):
-    scan(chain)
-    assert len(engine_builds) == 1
-
-
 def _witness_query(system):
     table = system.species
     return ControlQuery(table.set_of(["a"]), table.set_of(["c"]), MaxCardinality(1))
+
+
+# Calls that decide exhaustively, keyed by test id.
+EXHAUSTIVE_CALLS = {
+    "decide_controllable": lambda s: decide_controllable(s, MaxCardinality(1)),
+    "decide_target_controllable": lambda s: decide_target_controllable(
+        s, s.species.set_of(["a", "b"]), MaxCardinality(1)
+    ),
+    "minimal_n": lambda s: minimal_n(s),
+    "minimal_I": lambda s: minimal_I(s, s.species.full_set),
+}
+# Calls that run a kernel search, keyed by test id.
+KERNEL_CALLS = {
+    "find_witness": lambda s: find_witness(s, _witness_query(s)),
+    "sampled_decision": lambda s: decide_controllable(
+        s, MaxCardinality(1), Sampled(3)
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -923,9 +932,8 @@ def _witness_query(system):
         (lambda s: superset_image_membership(s, s.species.set_of(["c"])), 0),
         (lambda s: verify_witness(s, _witness_query(s), [s.species.empty_set]), 0),
         (lambda s: context_graph(s, s.species.full_set, [s.species.empty_set]), 0),
-        (lambda s: find_witness(s, _witness_query(s)), 1),
-        (lambda s: decide_controllable(s, MaxCardinality(1)), 1),
-        (lambda s: minimal_n(s), 1),
+        *[(call, 1) for call in KERNEL_CALLS.values()],
+        *[(call, 0) for call in EXHAUSTIVE_CALLS.values()],
     ],
     ids=[
         "orbit",
@@ -933,14 +941,81 @@ def _witness_query(system):
         "superset_image_membership",
         "verify_witness",
         "context_graph",
-        "find_witness",
-        "decide_controllable",
-        "minimal_n",
+        *KERNEL_CALLS,
+        *EXHAUSTIVE_CALLS,
     ],
 )
 def test_engine_is_built_only_for_kernel_searches(engine_builds, chain, call, builds):
     call(chain)
     assert len(engine_builds) == builds
+
+
+def break_kernel(monkeypatch, how: str) -> None:
+    """Point RSYS_KERNEL at a kernel that no Engine can load."""
+    if how == "unknown":
+        monkeypatch.setenv("RSYS_KERNEL", "sse9")
+    else:
+        monkeypatch.setenv("RSYS_KERNEL", "compiled")
+        monkeypatch.setattr(rsys._engine, "_kernel_c", None)
+
+
+@pytest.mark.parametrize("how", ["unknown", "unbuilt"])
+@pytest.mark.parametrize(
+    "call", EXHAUSTIVE_CALLS.values(), ids=list(EXHAUSTIVE_CALLS)
+)
+def test_exhaustive_decisions_need_no_kernel(monkeypatch, call, how):
+    expected = call(make_system(["a", "b", "c"], CHAIN))
+    break_kernel(monkeypatch, how)
+    assert call(make_system(["a", "b", "c"], CHAIN)) == expected
+
+
+@pytest.mark.parametrize("how", ["unknown", "unbuilt"])
+@pytest.mark.parametrize("call", KERNEL_CALLS.values(), ids=list(KERNEL_CALLS))
+def test_kernel_searches_refuse_a_missing_kernel(monkeypatch, chain, call, how):
+    break_kernel(monkeypatch, how)
+    with pytest.raises(RsysError, match="unknown kernel backend|not built"):
+        call(chain)
+
+
+@pytest.fixture
+def least_source_builds(monkeypatch):
+    """Count the image expansions that keep their cubes: the ones
+    `ReactionSystem.least_sources` runs, not the result graph's."""
+    calls = []
+    expand = rsys.core.res_values
+
+    def counting(base, rest, union, limit, leaves=None):
+        if leaves is not None:
+            calls.append(union)
+        return expand(base, rest, union, limit, leaves)
+
+    monkeypatch.setattr(rsys.core, "res_values", counting)
+    return calls
+
+
+class TestLeastSourcesPerSystem:
+    def test_built_once_across_decisions_and_probes(self, least_source_builds):
+        system, _ = scan_case(2, trap=False)
+        table = system.species
+        decide_controllable(system, MaxCardinality(1), species_limit=12)
+        decide_controllable(system, MaxCardinality(2), species_limit=12)
+        decide_target_controllable(
+            system, table.from_mask(0b1111), MaxCardinality(1)
+        )
+        minimal_n(system, species_limit=12)
+        minimal_I(system, table.from_mask(0b111), species_limit=12)
+        assert least_source_builds == [system.resource_mask]
+        kept = system.least_sources()
+        # an equal system is another system: it builds its own list
+        twin, _ = scan_case(2, trap=False)
+        assert twin.least_sources() == kept
+        assert system.least_sources() is kept
+        assert len(least_source_builds) == 2
+
+    @pytest.mark.parametrize("call", KERNEL_CALLS.values(), ids=list(KERNEL_CALLS))
+    def test_kernel_searches_leave_the_slot_unset(self, chain, call):
+        call(chain)
+        assert chain._least_sources is None
 
 
 class TestMinimalN:

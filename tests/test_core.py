@@ -14,6 +14,7 @@ from rsys.core import (
     SpeciesSet,
     SpeciesTable,
     enabled,
+    res_mask,
     result_all,
     result_reaction,
     run_process,
@@ -23,7 +24,7 @@ from rsys.core import (
 from rsys.errors import ReactionError, RsysError, SpeciesMismatchError
 from rsys.models import golden_replay, load_builtin
 
-from oracles import res_oracle, run_oracle
+from oracles import random_system, res_oracle, run_oracle
 from util import make_system, names_of, plain_reactions
 
 
@@ -319,6 +320,52 @@ class TestReplayTables:
         # Equal results after the first are one shared object.
         later = trace.results[1:]
         assert len({id(d) for d in later}) == len({d.mask for d in later})
+
+
+def least_sources_reference(system):
+    """(least, second, d) per result d: res over all 2^n states, taken in
+    canonical order, keeping each result's first two states."""
+    masks = (system.rmasks, system.imasks, system.pmasks)
+    states = sorted(range(1 << len(system.species)), key=lambda m: (m.bit_count(), m))
+    heads: dict[int, list[int]] = {}
+    for w in states:
+        seen = heads.setdefault(res_mask(w, *masks), [])
+        if len(seen) < 2:
+            seen.append(w)
+    return [(ws[0], ws[1] if len(ws) > 1 else None, d) for d, ws in heads.items()]
+
+
+class TestLeastSources:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_systems_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        n = 1 + seed % 10
+        names, reactions = random_system(rng, n, rng.randint(1, 2 * n))
+        system = make_system(names, reactions)
+        assert system.least_sources() == least_sources_reference(system)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_no_reactions(self, n):
+        system = make_system([f"s{i}" for i in range(n)], [])
+        assert system.least_sources() == [(0, 1 if n else None, 0)]
+        assert system.least_sources() == least_sources_reference(system)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unsensed_species(self, seed):
+        # u0 is only produced and u1 is never named, so neither is sensed,
+        # yet both are free in every source of every result
+        rng = random.Random(seed)
+        names, reactions = random_system(rng, 4, rng.randint(1, 6))
+        reactions.append(({names[0]}, set(), {"u0"}))
+        system = make_system(names + ["u0", "u1"], reactions)
+        assert system.resource_mask < 1 << 4
+        assert system.least_sources() == least_sources_reference(system)
+
+    def test_built_once_and_kept(self, toy):
+        assert toy._least_sources is None
+        kept = toy.least_sources()
+        assert toy.least_sources() is kept
+        assert [d for _, _, d in kept] == [0, 0b010, 0b100, 0b110]
 
 
 class TestValidateSystem:
