@@ -993,6 +993,24 @@ def least_source_builds(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize(
+    "scan, probes",
+    [
+        (lambda system: minimal_n(system).verdicts, 2),
+        (lambda system: minimal_I(system, system.species.full_set).steps, 3),
+    ],
+    ids=["minimal_n", "minimal_I"],
+)
+def test_minimal_scan_probes_share_one_engine(
+    engine_builds, least_source_builds, chain, scan, probes
+):
+    """Every probe of a minimal scan reads the system's one least-source
+    list; none of them builds an Engine of its own."""
+    assert len(scan(chain)) == probes
+    assert least_source_builds == [chain.resource_mask]
+    assert engine_builds == []
+
+
 class TestLeastSourcesPerSystem:
     def test_built_once_across_decisions_and_probes(self, least_source_builds):
         system, _ = scan_case(2, trap=False)
