@@ -21,7 +21,9 @@ starts' results reach; in full mode (T = S) the sources that share a
 result share its answer, so it tests each result of the image once, in
 the order of its least source. Its node budget counts the result values
 expanded; a sampled decision and `find_witness` search full states with
-a kernel `Engine`, and their budgets count states.
+a kernel `Engine`, and their budgets count states. In full mode without a
+budget, a sampled decision searches only the pairs that no result an
+earlier search reached from the source's result already covers.
 """
 
 from __future__ import annotations
@@ -516,7 +518,12 @@ def _decide(
 ) -> ControllabilityVerdict:
     """The pair scan behind every decision. An exhaustive one reads the
     image and least sources that the system keeps, so the decisions and
-    minimal-scan probes on one system build them once."""
+    minimal-scan probes on one system build them once. A sampled one runs
+    one kernel search per drawn pair, except in full mode without a
+    budget: there it keeps, per source result, the results its searches
+    proved reachable, and answers a pair that one of them covers without
+    a search. Verdicts, counterexamples and `pairs_checked` are those of
+    a search per pair."""
     budget = _node_budget(node_budget)
     if species_limit < 0:
         raise RsysError(f"species limit must be at least 0, got {species_limit}")
@@ -556,6 +563,15 @@ def _decide(
         rng = random.Random(scope.seed)
         n = len(table)
         checked = 0
+        # Full mode without a budget: x ≠ y rules out a hit at depth 0, so
+        # a pair's answer depends on d0 = res(x) alone. known[d0] holds the
+        # results that earlier searches proved reachable from d0; a pair
+        # whose end set one of them covers needs no search. A budgeted
+        # search must still run, since it may stop where this would not.
+        known: Optional[dict[int, set[int]]] = (
+            {} if not outside and budget == UNLIMITED else None
+        )
+        union, limit = constraint.span(table)
         for _ in range(scope.k):
             y = res_mask(rng.getrandbits(n), *masks) & t_mask
             if proviso == "superset":
@@ -566,13 +582,27 @@ def _decide(
             if x == y:
                 continue
             checked += 1
+            if known is not None:
+                d0 = res_mask(x, *masks)
+                reached = known.setdefault(d0, {d0})
+                # ResultGraph._cover with T = S: some admitted context c
+                # has c | d = y; the admitted contexts are downward closed,
+                # so c = y ∖ d is the one to test
+                if any(
+                    d & ~y == 0
+                    and (y & ~d) & ~union == 0
+                    and (y & ~d).bit_count() <= limit
+                    for d in reached
+                ):
+                    continue
             starts = [x | z for z in outside_subs]
-            status, _, _, _, visited = eng.bfs_witness(
+            status, _, path, _, visited = eng.bfs_witness(
                 starts, ctx_masks, y, t_mask, -1, budget
             )
             if status == BUDGET_STOP:
                 raise BudgetError(
-                    "witness search stopped by the node budget",
+                    f"witness search stopped by the node budget after "
+                    f"visiting {visited} states",
                     visited=visited,
                 )
             if status != FOUND:
@@ -581,6 +611,13 @@ def _decide(
                     (table.from_mask(x), table.from_mask(y)),
                     checked,
                 )
+            if known is not None:
+                # every result along the witness is reachable from d0, and
+                # so is everything known to be reachable from one of them
+                d = d0
+                for ci in path:
+                    d = res_mask(ctx_masks[ci] | d, *masks)
+                    reached.update(known.get(d, (d,)))
         return ControllabilityVerdict(True, None, checked)
 
     constraint.bind_check(table)

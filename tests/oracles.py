@@ -369,6 +369,52 @@ def source_scan_oracle(
     return checked, None
 
 
+def sampled_scan_oracle(
+    rmasks, imasks, pmasks, n_species: int, t_mask: int, contexts,
+    k: int, seed: int, proviso: str, node_budget,
+) -> tuple[Optional[bool], Optional[tuple[int, int]], int, Optional[int]]:
+    """A sampled decision's pair scan, one `bfs_witness_oracle` search per
+    pair and nothing shared between pairs.
+
+    Replays the decision's draw from `random.Random(seed)`: per sample an
+    end set res(W) ∩ T for a random W (under "superset" also intersected
+    with a random mask), then a source X ⊆ T redrawn until X ≠ Y, and
+    skipped when T leaves no other choice. Each source's starts are X ∪ Z
+    for every Z ⊆ S ∖ T, ascending by (size, encoding). `contexts` are
+    the admitted context masks in canonical order, and a `node_budget` of
+    None means unlimited. Returns (decision, first counterexample as
+    (source, end set) masks or None, pairs checked, states visited by the
+    search the budget stopped or None); a budget stop has decision None.
+    """
+    rng = random.Random(seed)
+    outside = ((1 << n_species) - 1) & ~t_mask
+    completions = sorted(
+        (z for z in range(outside + 1) if z & ~outside == 0),
+        key=lambda m: (m.bit_count(), m),
+    )
+    budget = float("inf") if node_budget is None else node_budget
+    checked = 0
+    for _ in range(k):
+        y = _res_mask(rng.getrandbits(n_species), rmasks, imasks, pmasks) & t_mask
+        if proviso == "superset":
+            y &= rng.getrandbits(n_species)
+        x = rng.getrandbits(n_species) & t_mask
+        while x == y and t_mask:
+            x = rng.getrandbits(n_species) & t_mask
+        if x == y:
+            continue
+        checked += 1
+        status, _, _, _, visited = bfs_witness_oracle(
+            [x | z for z in completions], contexts, rmasks, imasks, pmasks,
+            y, t_mask, -1, budget,
+        )
+        if status == 3:
+            return None, None, checked, visited
+        if status != 0:
+            return False, (x, y), checked, None
+    return True, None, checked, None
+
+
 def random_system(
     rng: random.Random, n_species: int, n_reactions: int
 ) -> tuple[list[str], list[Triple]]:

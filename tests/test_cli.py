@@ -458,6 +458,17 @@ class TestDecide:
         _, unbudgeted, _ = run(capsys, *decide)
         assert run(capsys, *decide, "--node-budget", "4") == (0, unbudgeted, "")
 
+    def test_sampled_budget_counts_states(self, capsys, chain_file):
+        decide = ["decide", chain_file, "--constraint", "max-cardinality=1"]
+        code, out, err = run(
+            capsys, *decide, "--sample", "3", "--node-budget", "0"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: witness search stopped by the node budget after "
+            "visiting 0 states\n"
+        )
+
     def test_uncontrollable_with_counterexample(self, capsys, t1_file):
         code, out, _ = run(
             capsys, "decide", t1_file, "--constraint", "allowed-set={}"

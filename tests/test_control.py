@@ -42,6 +42,7 @@ from oracles import (
     random_system,
     res_oracle,
     result_closure,
+    sampled_scan_oracle,
     shortest_witness_len,
     source_scan_oracle,
 )
@@ -481,6 +482,69 @@ class TestDecideControllable:
         # (X, Y) pairs with unreachable Y dominate; the sampler must hit one.
         assert not verdict.decision
         assert verdict.counterexample is not None
+
+    @pytest.mark.parametrize(
+        "targets, budget, skips",
+        [
+            (None, None, True),
+            (["a", "b", "c"], None, True),
+            (None, 10**6, False),
+            (["a", "b"], None, False),
+        ],
+        ids=["full", "full-target-set", "budgeted", "target"],
+    )
+    def test_sampled_searches_skip_pairs_known_reachable(
+        self, monkeypatch, chain, targets, budget, skips
+    ):
+        # Only an unbudgeted full-mode decision may answer a pair from
+        # what earlier searches reached; the others search every pair.
+        searches = []
+        search = Engine.bfs_witness
+
+        def counting(self, *args):
+            searches.append(1)
+            return search(self, *args)
+
+        monkeypatch.setattr(Engine, "bfs_witness", counting)
+        if targets is None:
+            decide = partial(decide_controllable, chain)
+        else:
+            targets = chain.species.set_of(targets)
+            decide = partial(decide_target_controllable, chain, targets)
+        verdict = decide(MaxCardinality(1), Sampled(20, seed=1), node_budget=budget)
+        assert verdict.decision and verdict.pairs_checked == 20
+        if skips:
+            assert 0 < len(searches) < verdict.pairs_checked
+        else:
+            assert len(searches) == verdict.pairs_checked
+
+    def test_sampled_full_mode_matches_the_sampled_oracle(self):
+        # Many seeded decisions, so that some pair the skip test must
+        # refuse is the first one no witness reaches: its end set lies
+        # outside an allowed set, or only an unreached result covers it.
+        for case in range(3000):
+            rng = random.Random(case)
+            n = rng.randint(2, 4)
+            names, reactions = random_system(rng, n, rng.randint(1, 2 * n))
+            system = make_system(names, reactions)
+            table = system.species
+            if rng.random() < 0.5:
+                constraint = MaxCardinality(rng.randint(0, n - 1))
+            else:
+                chosen = rng.sample(names, rng.randint(0, n))
+                constraint = AllowedSet(table.set_of(chosen))
+            k, seed = rng.randint(1, 60), rng.randint(0, 10**9)
+            verdict = decide_controllable(system, constraint, Sampled(k, seed))
+            got = verdict.counterexample
+            if got is not None:
+                got = (got[0].mask, got[1].mask)
+            decision, cex, checked, _ = sampled_scan_oracle(
+                system.rmasks, system.imasks, system.pmasks, n,
+                table.full_set.mask, constraint.context_masks(table), k, seed,
+                "projection", None,
+            )
+            got_answer = (verdict.decision, got, verdict.pairs_checked)
+            assert got_answer == (decision, cex, checked), case
 
 
 class TestDecideTargetControllable:

@@ -12,6 +12,7 @@ from rsys.control import (
     AllowedSet,
     ControlQuery,
     MaxCardinality,
+    Sampled,
     allowed_contexts,
     decide_controllable,
     decide_target_controllable,
@@ -578,6 +579,67 @@ class TestDecisions:
                 cex,
                 checked,
             )
+
+    @given(
+        data=st.data(),
+        system=systems(min_species=1, max_species=5, max_reactions=5),
+        call=st.sampled_from(["plain", "full", "projection", "superset"]),
+        k=st.integers(1, 30),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow, HealthCheck.function_scoped_fixture
+        ],
+    )
+    def test_sampled_decision_matches_the_sampled_oracle(
+        self, monkeypatch, backend, data, system, call, k, seed
+    ):
+        # Full mode skips the pairs that earlier searches already answer;
+        # verdicts, pairs checked and budget stops stay those of one
+        # search per pair, on either kernel.
+        monkeypatch.setenv("RSYS_KERNEL", backend)
+        table = system.species
+        names = list(table.names)
+        if len(names) > 1 and data.draw(st.booleans()):
+            constraint = MaxCardinality(data.draw(st.integers(0, len(names) - 1)))
+        else:
+            chosen = data.draw(st.sets(st.sampled_from(names)))
+            constraint = AllowedSet(table.set_of(chosen))
+        if call in ("plain", "full"):
+            targets = table.full_set
+        else:
+            targets = table.set_of(data.draw(st.sets(st.sampled_from(names))))
+        proviso = "superset" if call == "superset" else "projection"
+        budget = data.draw(st.sampled_from([None, 1, 2, 5, 20]))
+        decision, cex, checked, visited = oracles.sampled_scan_oracle(
+            system.rmasks, system.imasks, system.pmasks, len(names),
+            targets.mask, constraint.context_masks(table), k, seed, proviso,
+            budget,
+        )
+        scope = Sampled(k, seed)
+        try:
+            if call == "plain":
+                verdict = decide_controllable(
+                    system, constraint, scope, node_budget=budget
+                )
+            else:
+                verdict = decide_target_controllable(
+                    system, targets, constraint, scope, proviso=proviso,
+                    node_budget=budget,
+                )
+        except BudgetError as err:
+            assert (decision, err.visited) == (None, visited)
+            assert str(err).endswith(f"after visiting {visited} states")
+            return
+        got = verdict.counterexample
+        if got is not None:
+            got = (got[0].mask, got[1].mask)
+        assert (verdict.decision, got, verdict.pairs_checked) == (
+            decision, cex, checked
+        )
 
 
 class TestContextGraph:
