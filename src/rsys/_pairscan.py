@@ -5,9 +5,10 @@ come from one `ResultGraph`: no full state is built, no context is listed
 and no kernel is called; everything reads the system's masks. The budget
 counts the result values the graph expands, so a budget that is never hit
 costs nothing beyond the count. Target mode scans its sources one by one
-(`scan_pairs`); full mode scans the image's results, whose sources share
-one answer (`scan_results`), in the order of the system's
-`least_sources`.
+(`scan_pairs`), each over the results of its start frontier, which one
+Shannon expansion (`core.res_values`) lists; full mode scans the image's
+results, whose sources share one answer (`scan_results`), in the order of
+the system's `least_sources`.
 
 `control._decide` imports this module when a decision first needs it, so
 the commands that never decide do not load it.
@@ -19,7 +20,7 @@ from bisect import bisect_left
 from math import comb
 from typing import Optional, Sequence
 
-from .core import ReactionSystem, res_mask, res_split, res_values
+from .core import ReactionSystem, res_split, res_values
 from .errors import BudgetError
 
 
@@ -32,11 +33,13 @@ class ResultGraph:
     res(c | d) over the admitted contexts c, the subsets of `union` with
     at most `limit` species, enumerated by `core.res_values` from one
     `res_split` of d. Node d covers end set Y when some admitted c has
-    (c | d) ∩ T = Y, that is d ∩ T ⊆ Y and Y ∖ d is an admitted context.
-    Covers are bitsets over `y_masks`, propagated over the strongly
-    connected components of Tarjan's algorithm, so each node is expanded
-    once. Expanding more than `budget` nodes over the graph's life raises
-    BudgetError.
+    (c | d) ∩ T = Y, that is d ∩ T ⊆ Y and Y ∖ d is an admitted context;
+    `_cover` lists them from the end sets or from the subsets of what an
+    end set may add to d ∩ T, whichever is shorter. Covers are bitsets
+    over the distinct `y_masks`, bit j for y_masks[j], propagated over the
+    strongly connected components of Tarjan's algorithm, so each node is
+    expanded once. Expanding more than `budget` nodes over the graph's
+    life raises BudgetError.
     """
 
     def __init__(
@@ -51,7 +54,11 @@ class ResultGraph:
         self.union = union
         self.limit = limit
         self.masks = (system.rmasks, system.imasks, system.pmasks)
-        self.ends_high_first = y_masks[::-1]
+        self.ends = y_masks
+        self.index = {y: j for j, y in enumerate(y_masks)}
+        self.end_bits = 0
+        for y in y_masks:
+            self.end_bits |= y
         self.t_mask = t_mask
         self.budget = budget
         self.expanded = 0
@@ -60,19 +67,45 @@ class ResultGraph:
         self.reach: dict[int, int] = {}
 
     def _cover(self, d: int) -> int:
+        """Bitset of the end sets d covers, listed from the shorter side.
+
+        Y is covered exactly when Y = (d ∩ T) ∪ s, where s is a subset of
+        `free`, the end sets' species outside d ∩ T that lie in `union`
+        or in d, with at most `limit` species outside d: those come from
+        the context. For end sets within T, as a decision's are, free is
+        T ∩ union ∖ d cut to the end sets' species. When free has fewer
+        subsets than there are end sets, each subset is looked up in the
+        end sets' index; otherwise each end set is tested."""
         dt = d & self.t_mask
+        free = self.end_bits & ~dt & (self.union | d)
+        if 1 << free.bit_count() < len(self.ends):
+            return self._cover_from_free(d, dt, free)
+        return self._cover_from_ends(d, dt)
+
+    def _cover_from_free(self, d: int, dt: int, free: int) -> int:
+        index, limit, not_d = self.index, self.limit, ~d
+        cover = 0
+        s = free
+        while True:
+            if (s & not_d).bit_count() <= limit:
+                j = index.get(dt | s)
+                if j is not None:
+                    cover |= 1 << j
+            if not s:
+                return cover
+            s = (s - 1) & free
+
+    def _cover_from_ends(self, d: int, dt: int) -> int:
         union, limit = self.union, self.limit
-        return int(
-            "".join(
-                "1"
-                if y & dt == dt
+        cover = 0
+        for j, y in enumerate(self.ends):
+            if (
+                y & dt == dt
                 and not (y & ~d & ~union)
                 and (y & ~d).bit_count() <= limit
-                else "0"
-                for y in self.ends_high_first
-            ),
-            2,
-        )
+            ):
+                cover |= 1 << j
+        return cover
 
     def _successors(self, d: int):
         base, rest = res_split(d, self.union, *self.masks)
@@ -139,25 +172,31 @@ def scan_pairs(
     graph: ResultGraph,
     x_masks: Sequence[int],
     y_masks: list[int],
-    outside_subs: list[int],
+    outside: int,
 ) -> tuple[int, Optional[tuple[int, int]]]:
     """Target mode: scan pairs in canonical order; return (pairs checked
     through the decision point, first counterexample or None).
 
     A source X reaches end set Y when some result reachable from the
-    results of its starts X ∪ Z, Z ⊆ S ∖ T, covers Y, so each source is
-    one bitset test against the result graph; only a miss looks up the
-    first end set missed and the pairs checked before it.
+    results of its starts X ∪ Z, Z ⊆ S ∖ T = `outside`, covers Y, so each
+    source is one bitset test against the result graph; only a miss looks
+    up the first end set missed and the pairs checked before it. The
+    frontier results {res(X ∪ Z)} come from one Shannon expansion of X
+    over the outside species, with no limit on Z. Their order does not
+    matter: covers are OR-ed, every frontier result is reached before the
+    miss test, and the budget stops at the same count whichever comes
+    first.
     """
-    y_index = {y: j for j, y in enumerate(y_masks)}
     every = (1 << len(y_masks)) - 1
     masks = (system.rmasks, system.imasks, system.pmasks)
+    n_outside = outside.bit_count()
     checked = 0
     for x in x_masks:
         covered = 0
-        for d in {res_mask(x | z, *masks) for z in outside_subs}:
+        base, rest = res_split(x, outside, *masks)
+        for d in res_values(base, rest, outside, n_outside):
             covered |= graph.reached(d)
-        own = y_index.get(x)
+        own = graph.index.get(x)
         missed = every & ~covered
         if own is not None:
             missed &= ~(1 << own)

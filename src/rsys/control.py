@@ -552,7 +552,6 @@ def _decide(
             f"(limit {frontier_limit}); pin the full start state with "
             "find_witness instead, or raise frontier_limit"
         )
-    outside_subs = submasks_ascending(outside)
 
     if isinstance(scope, Sampled):
         # Only the kernel searches of a sampled decision list the contexts;
@@ -572,6 +571,7 @@ def _decide(
             {} if not outside and budget == UNLIMITED else None
         )
         union, limit = constraint.span(table)
+        outside_subs = submasks_ascending(outside)
         for _ in range(scope.k):
             y = res_mask(rng.getrandbits(n), *masks) & t_mask
             if proviso == "superset":
@@ -643,7 +643,7 @@ def _decide(
         # target mode: each source's start frontier X ∪ Z, Z ⊆ S ∖ T,
         # spans several results, so the sources are scanned one by one
         checked, cex = scan_pairs(
-            system, graph, submasks_ascending(t_mask), y_masks, outside_subs
+            system, graph, submasks_ascending(t_mask), y_masks, outside
         )
     else:
         # full mode: the sources sharing a result share its answer, so

@@ -97,8 +97,18 @@ def reachable_states(
     start: frozenset,
 ) -> set[frozenset]:
     """All full states reachable from `start` (start included)."""
-    seen = {start}
-    queue = deque([start])
+    return reachable_from(reactions, contexts, [start])
+
+
+def reachable_from(
+    reactions: list[Triple],
+    contexts: list[frozenset],
+    starts: list[frozenset],
+) -> set[frozenset]:
+    """All full states reachable from some state of `starts` (included):
+    the union of `reachable_states` over the starts."""
+    seen = set(starts)
+    queue = deque(seen)
     while queue:
         w = queue.popleft()
         d = res_oracle(reactions, w)
@@ -299,10 +309,11 @@ def pair_scan_oracle(
     range over the subsets of `targets`; ends Y over the image's
     projections onto `targets` ("projection") or over every subset of one
     ("superset"). The closure of X is the union of `reachable_states` over
-    its completions X ∪ Z, Z ⊆ S ∖ T. Returns (decision, first
-    counterexample or None, pairs checked, result values expanded). The
-    last is what a decision's node budget counts: the `result_closure` of
-    the start results of every source scanned through the decision point.
+    its completions X ∪ Z, Z ⊆ S ∖ T, one search from all of them.
+    Returns (decision, first counterexample or None, pairs checked,
+    result values expanded). The last is what a decision's node budget
+    counts: the `result_closure` of the start results of every source
+    scanned through the decision point.
     """
 
     def encoding(s: frozenset) -> tuple[int, int]:
@@ -329,10 +340,9 @@ def pair_scan_oracle(
         return len(result_closure(reactions, contexts, start_results))
 
     for x in sorted(all_subsets(targets), key=encoding):
-        closure: set[frozenset] = set()
-        for z in completions:
-            closure |= reachable_states(reactions, contexts, x | z)
-            start_results.add(res_oracle(reactions, x | z))
+        starts = [x | z for z in completions]
+        closure = reachable_from(reactions, contexts, starts)
+        start_results.update(res_oracle(reactions, w) for w in starts)
         observed = {w & targets for w in closure}
         for y in ends:
             if y == x:
@@ -515,3 +525,25 @@ def cover_search_oracle(
         return None
 
     return cover(0, 0, 0, 0)
+
+
+def cover_oracle(
+    d: int, y_masks: list[int], t_mask: int, union: int, limit: int
+) -> int:
+    """The end sets the result d covers, as a bitset with bit j for
+    y_masks[j], by the string form of `ResultGraph._cover`: d covers Y
+    when d ∩ T ⊆ Y and Y ∖ d is an admitted context, a subset of `union`
+    with at most `limit` species."""
+    dt = d & t_mask
+    return int(
+        "0"
+        + "".join(
+            "1"
+            if y & dt == dt
+            and not (y & ~d & ~union)
+            and (y & ~d).bit_count() <= limit
+            else "0"
+            for y in y_masks[::-1]
+        ),
+        2,
+    )

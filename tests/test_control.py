@@ -39,6 +39,7 @@ from rsys.dynamics import (
 from rsys.errors import BudgetError, RefusalError, RsysError, SpeciesMismatchError
 
 from oracles import (
+    pair_scan_oracle,
     random_system,
     res_oracle,
     result_closure,
@@ -622,6 +623,48 @@ class TestDecideTargetControllable:
         )
         assert verdict.decision
 
+    def test_target_mode_matches_the_pair_scan_oracle(self):
+        # 4-7 species with 1-4 of them outside T, so a start frontier
+        # often spans several results; answers and budget stops must be
+        # those of the oracle's scan, one closure per source.
+        for case in range(2000):
+            rng = random.Random(case)
+            n = rng.randint(4, 7)
+            names, reactions = random_system(rng, n, rng.randint(1, 2 * n))
+            system = make_system(names, reactions)
+            table = system.species
+            targets = frozenset(rng.sample(names, n - rng.randint(1, 4)))
+            if rng.random() < 0.5:
+                m = rng.randint(0, n - 1)
+                constraint = MaxCardinality(m)
+                allowed = [s for s in canonical_subsets(names) if len(s) <= m]
+            else:
+                chosen = rng.sample(names, rng.randint(0, n))
+                constraint = AllowedSet(table.set_of(chosen))
+                allowed = canonical_subsets(chosen)
+            proviso = rng.choice(["projection", "superset"])
+            decision, cex, checked, expanded = pair_scan_oracle(
+                reactions, names, targets, allowed, proviso
+            )
+
+            def decide(budget):
+                return decide_target_controllable(
+                    system, table.set_of(targets), constraint,
+                    proviso=proviso, node_budget=budget,
+                )
+
+            verdict = decide(None)
+            got = verdict.counterexample
+            if got is not None:
+                got = (names_of(got[0]), names_of(got[1]))
+            got_answer = (verdict.decision, got, verdict.pairs_checked)
+            assert got_answer == (decision, cex, checked), case
+            with pytest.raises(
+                BudgetError, match=f"after expanding {expanded - 1} result"
+            ) as err:
+                decide(expanded - 1)
+            assert err.value.visited == expanded - 1, case
+
 
 @pytest.fixture
 def closure_calls(monkeypatch):
@@ -641,13 +684,13 @@ def closure_calls(monkeypatch):
 def expanded(monkeypatch):
     """Record the result values the decisions' result graphs expand."""
     calls = []
-    split = rsys._pairscan.res_split
+    successors = rsys._pairscan.ResultGraph._successors
 
-    def counting(d, *args):
+    def counting(graph, d):
         calls.append(d)
-        return split(d, *args)
+        return successors(graph, d)
 
-    monkeypatch.setattr(rsys._pairscan, "res_split", counting)
+    monkeypatch.setattr(rsys._pairscan.ResultGraph, "_successors", counting)
     return calls
 
 
@@ -1065,7 +1108,7 @@ def least_source_builds(monkeypatch):
     ],
     ids=["minimal_n", "minimal_I"],
 )
-def test_minimal_scan_probes_share_one_engine(
+def test_minimal_scan_probes_build_no_engine(
     engine_builds, least_source_builds, chain, scan, probes
 ):
     """Every probe of a minimal scan reads the system's one least-source

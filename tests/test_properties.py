@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rsys._engine import Engine
+from rsys._pairscan import ResultGraph
 from rsys.control import (
     AllowedSet,
     ControlQuery,
@@ -640,6 +641,41 @@ class TestDecisions:
         assert (verdict.decision, got, verdict.pairs_checked) == (
             decision, cex, checked
         )
+
+
+class TestResultGraphCover:
+    @given(data=st.data(), n=st.integers(1, 8))
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_cover_matches_the_string_form_on_both_sides(self, data, n):
+        # End sets in any order, so bit j must stand for y_masks[j], and
+        # not always within T; most hold d ∩ T, as a covered one must.
+        # Each side is forced as well as chosen.
+        full = (1 << n) - 1
+        masks = st.integers(0, full)
+        d, t_mask, union = data.draw(masks), data.draw(masks), data.draw(masks)
+        dt = d & t_mask
+        limit = data.draw(st.integers(0, n))
+        y_masks = data.draw(
+            st.lists(
+                st.one_of(
+                    masks.map(lambda y: (y | dt) & t_mask),
+                    masks.map(lambda y: y | dt),
+                    masks,
+                ),
+                unique=True,
+                max_size=2 ** min(n, 6),
+            )
+        )
+        system = make_system([f"s{k}" for k in range(n)], [])
+        graph = ResultGraph(system, union, limit, y_masks, t_mask, 0)
+        expected = oracles.cover_oracle(d, y_masks, t_mask, union, limit)
+        free = graph.end_bits & ~dt & (union | d)
+        assert graph._cover(d) == expected
+        assert graph._cover_from_free(d, dt, free) == expected
+        assert graph._cover_from_ends(d, dt) == expected
 
 
 class TestContextGraph:
