@@ -7,6 +7,9 @@ species k in table order). All values are immutable and safe to share.
 from __future__ import annotations
 
 import re
+from functools import reduce
+from itertools import accumulate
+from operator import getitem, or_
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import ReactionError, RsysError, SpeciesMismatchError
@@ -75,10 +78,14 @@ class SpeciesTable:
         return name
 
     def set_of(self, names: Iterable[str] = ()) -> SpeciesSet:
+        index = self._index
         mask = 0
         for name in names:
-            mask |= 1 << self.index(name)
-        return SpeciesSet(self, mask)
+            try:
+                mask |= 1 << index[name]
+            except KeyError:
+                self.index(name)  # raises SpeciesMismatchError
+        return _unchecked_set(self, mask)  # table positions lie in range
 
     def from_mask(self, mask: int) -> SpeciesSet:
         return SpeciesSet(self, mask)
@@ -642,6 +649,8 @@ def res_values(
 
 
 RES_CHUNK_BITS = 6
+# run_process replays sequences longer than this through `res_tables`.
+REPLAY_TABLE_STEPS = 100
 
 
 def _or_table(masks: Iterable[int]) -> list[int]:
@@ -652,16 +661,12 @@ def _or_table(masks: Iterable[int]) -> list[int]:
     return t
 
 
-def _species_tables(
+def _species_masks(
     n: int, rmasks: tuple[int, ...], imasks: tuple[int, ...]
-) -> list[tuple[list[int], list[int]]]:
-    """(lacks, present) for each W-bit chunk c of the first `n` species.
-
-    lacks[u] is the mask of reactions with a reactant among the bits u of
-    chunk c; present[v] is the mask of reactions with an inhibitor among
-    the bits v of chunk c. Inhibitor bits at n or above are left out.
-    """
-    w = RES_CHUNK_BITS
+) -> tuple[list[int], list[int]]:
+    """Per species k < n, the mask of reactions with k as a reactant and
+    the mask of those with k as an inhibitor. Inhibitors at n or above
+    are left out; reactants must lie below n."""
     in_range = (1 << n) - 1
     needed_by = [0] * n
     inhibits = [0] * n
@@ -676,6 +681,20 @@ def _species_tables(
             low = i & -i
             inhibits[low.bit_length() - 1] |= bit
             i ^= low
+    return needed_by, inhibits
+
+
+def _species_tables(
+    n: int, rmasks: tuple[int, ...], imasks: tuple[int, ...]
+) -> list[tuple[list[int], list[int]]]:
+    """(lacks, present) for each W-bit chunk c of the first `n` species.
+
+    lacks[u] is the mask of reactions with a reactant among the bits u of
+    chunk c; present[v] is the mask of reactions with an inhibitor among
+    the bits v of chunk c. Inhibitor bits at n or above are left out.
+    """
+    w = RES_CHUNK_BITS
+    needed_by, inhibits = _species_masks(n, rmasks, imasks)
     return [
         (_or_table(needed_by[lo : lo + w]), _or_table(inhibits[lo : lo + w]))
         for lo in range(0, n, w)
@@ -689,25 +708,33 @@ def _products_tables(pmasks: tuple[int, ...]) -> list[list[int]]:
 
 def res_tables(
     n: int, rmasks: tuple[int, ...], imasks: tuple[int, ...], pmasks: tuple[int, ...]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Lookup tables that evaluate res over states of `n` species a chunk
-    of W = RES_CHUNK_BITS bits at a time, as byte-wise CRC tables do.
+) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Lookup tables that evaluate res over states of `n` species a byte at
+    a time, as byte-wise CRC tables do.
 
-    Returns (disables, produces); chunk c covers bits c*W … c*W+W-1.
-    disables[c][v] is the mask of reactions that chunk c of a state
-    disables when it holds v: a reactant absent or an inhibitor present.
-    produces[c][v] is the union of the products of the reactions whose
-    bits v sets in chunk c of an enabled-reaction mask. So for a state s
-    below 2^n, the enabled reactions e are those in no disables[c][chunk
-    c of s], and res(s) is the union of produces[c][chunk c of e].
-    Reactant masks must lie below 2^n, as a ReactionSystem's do; inhibitor
-    bits at n or above are never present, so they disable nothing.
+    Returns (disables, rest, produces). Table j covers bits 8j … 8j+7 and
+    has 256 entries; a short last byte is padded with species or reactions
+    that do nothing. disables[j][v] is the mask of reactions that byte j
+    of a state disables when it holds v: a reactant absent or an inhibitor
+    present. rest[k] joins disables[j][0] over j >= k: what all-zero bytes
+    from k up disable. So a state s below 2^n whose top set bit lies in
+    byte k-1 disables rest[k] and disables[j][byte j of s] for j < k.
+    produces[j][v] is the union of the products of the reactions whose
+    bits v sets in byte j of an enabled-reaction mask. Reactant masks must
+    lie below 2^n, as a ReactionSystem's do; inhibitor bits at n or above
+    are never present, so they disable nothing.
     """
+    needed_by, inhibits = (x + [0] * 7 for x in _species_masks(n, rmasks, imasks))
     disables = []
-    for lacks, present in _species_tables(n, rmasks, imasks):
-        full = len(lacks) - 1
-        disables.append([lacks[full ^ v] | present[v] for v in range(full + 1)])
-    return disables, _products_tables(pmasks)
+    for lo in range(0, n, 8):
+        t = [0]
+        for b in range(lo, lo + 8):
+            t = [x | needed_by[b] for x in t] + [x | inhibits[b] for x in t]
+        disables.append(t)
+    rest = [*accumulate((t[0] for t in reversed(disables)), or_, initial=0)][::-1]
+    padded = pmasks + (0,) * 7
+    produces = [_or_table(padded[lo : lo + 8]) for lo in range(0, len(pmasks), 8)]
+    return disables, rest, produces
 
 
 def res_split_tables(
@@ -764,6 +791,10 @@ def run_process(
     with it, the supplied set is installed as D_0 (mode "given"). Either way
     D_i = res(C_{i-1} ∪ D_{i-1}), the trace has one step per context, and the
     final context only pads the final state.
+
+    Over REPLAY_TABLE_STEPS contexts, each step is two folds of the
+    call's `res_tables`, over the bytes of the state and of its enabled
+    reactions; shorter sequences call `res_mask`. Results are the same.
     """
     if isinstance(contexts, ContextSequence):
         ctxs = contexts.contexts
@@ -786,30 +817,23 @@ def run_process(
     rmasks, imasks, pmasks = system.rmasks, system.imasks, system.pmasks
     m = d.mask
     n = len(table)
-    w = RES_CHUNK_BITS
-    # The tables cost about as much to build as 2^W steps save. Products
-    # from outside the table (unchecked reactions) keep the checked path,
-    # which raises at the first result out of range.
-    if len(ctxs) <= 1 << w or any(p >> n for p in pmasks):
+    # The tables cost about as much to build as REPLAY_TABLE_STEPS steps
+    # save. Products from outside the table (unchecked reactions) keep the
+    # checked path, which raises at the first result out of range.
+    if len(ctxs) <= REPLAY_TABLE_STEPS or any(p >> n for p in pmasks):
         for c in ctxs[:-1]:
             m = res_mask(c.mask | m, rmasks, imasks, pmasks)
             results.append(SpeciesSet(table, m))
         return ProcessTrace(ctxs, tuple(results), mode)
-    disables, produces = res_tables(n, rmasks, imasks, pmasks)
-    chunk = (1 << w) - 1
+    disables, rest, produces = res_tables(n, rmasks, imasks, pmasks)
     every = (1 << len(rmasks)) - 1
     seen: dict[int, SpeciesSet] = {}
     for c in ctxs[:-1]:
         s = c.mask | m
-        off = 0
-        for t in disables:
-            off |= t[s & chunk]
-            s >>= w
-        e = every & ~off
-        m = 0
-        for t in produces:
-            m |= t[e & chunk]
-            e >>= w
+        k = (s.bit_length() + 7) >> 3
+        e = every & ~reduce(or_, map(getitem, disables, s.to_bytes(k, "little")), rest[k])
+        k = (e.bit_length() + 7) >> 3
+        m = reduce(or_, map(getitem, produces, e.to_bytes(k, "little")), 0)
         # Equal results share one SpeciesSet: a long replay repeats about a
         # third of its results, and each object it skips is one fewer for
         # the garbage collector to trace while the trace is alive.

@@ -371,14 +371,12 @@ def bn_to_reactions(bn: BooleanNetwork, blocking: bool = True) -> ReactionSystem
         terms = bn.updates[v]
         for k, (pos, neg) in enumerate(terms):
             label = f"r{v}" if len(terms) == 1 else f"r{v}{k + 1}"
-            inhibitors = set(neg)
-            if blocking:
-                inhibitors.add(blocking_name(v))
+            inhibitors = (*neg, blocking_name(v)) if blocking else neg
             reactions.append(
                 Reaction(
-                    table.set_of(sorted(pos, key=table.index)),
-                    table.set_of(sorted(inhibitors, key=table.index)),
-                    table.set_of([v]),
+                    table.set_of(pos),
+                    table.set_of(inhibitors),
+                    table.set_of((v,)),
                     label,
                 )
             )

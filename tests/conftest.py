@@ -13,6 +13,7 @@ import pytest
 # Imported first so the engine settles on its default kernel before the
 # fixture below loads the extension.
 import rsys._engine
+import rsys.core
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -57,3 +58,17 @@ def backend(request):
     if request.param == "compiled":
         request.getfixturevalue("compiled")
     return request.param
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Count the replay lookup tables run_process builds."""
+    calls = []
+    build = rsys.core.res_tables
+
+    def counting(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(rsys.core, "res_tables", counting)
+    return calls

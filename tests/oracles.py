@@ -106,12 +106,20 @@ def reachable_from(
     starts: list[frozenset],
 ) -> set[frozenset]:
     """All full states reachable from some state of `starts` (included):
-    the union of `reachable_states` over the starts."""
+    the union of `reachable_states` over the starts.
+
+    States with equal results have the same successors, so a popped state
+    whose result was already expanded adds nothing and is skipped.
+    """
     seen = set(starts)
     queue = deque(seen)
+    expanded = set()
     while queue:
         w = queue.popleft()
         d = res_oracle(reactions, w)
+        if d in expanded:
+            continue
+        expanded.add(d)
         for ctx in contexts:
             w2 = ctx | d
             if w2 not in seen:

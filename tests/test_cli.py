@@ -178,8 +178,10 @@ class TestSimulate:
         assert code == 0
         assert len(csv_rows(out)) == 3
 
-    def test_long_context_file_matches_the_oracle(self, capsys, tmp_path):
-        # 380 contexts: longer than 2^RES_CHUNK_BITS, so the replay runs
+    def test_long_context_file_matches_the_oracle(
+        self, capsys, tmp_path, table_builds
+    ):
+        # 380 contexts: longer than REPLAY_TABLE_STEPS, so the replay runs
         # through the lookup tables.
         ctx = tmp_path / "ctx.txt"
         ctx.write_text(
@@ -201,6 +203,7 @@ class TestSimulate:
         )
         assert len(expected) == 380
         assert [frozenset(d) for d in payload["results"]] == expected
+        assert table_builds == [len(corpus.model.system.species)]
 
     def test_json_format(self, capsys):
         code, out, _ = run(

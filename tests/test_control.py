@@ -1,6 +1,7 @@
 """Constraints, witness search and verification, controllability decisions."""
 
 import random
+from collections import deque
 from functools import partial
 from math import comb
 
@@ -41,6 +42,7 @@ from rsys.errors import BudgetError, RefusalError, RsysError, SpeciesMismatchErr
 from oracles import (
     pair_scan_oracle,
     random_system,
+    reachable_from,
     res_oracle,
     result_closure,
     sampled_scan_oracle,
@@ -622,6 +624,30 @@ class TestDecideTargetControllable:
             system, table.set_of(["t"]), MaxCardinality(0)
         )
         assert verdict.decision
+
+    def test_reachable_from_equals_the_plain_search(self):
+        # The oracle skips states whose result it already expanded; the
+        # plain search expands every state it reaches.
+        def plain(reactions, contexts, starts):
+            seen = set(starts)
+            queue = deque(seen)
+            while queue:
+                d = res_oracle(reactions, queue.popleft())
+                for ctx in contexts:
+                    if ctx | d not in seen:
+                        seen.add(ctx | d)
+                        queue.append(ctx | d)
+            return seen
+
+        for case in range(300):
+            rng = random.Random(case)
+            n = rng.randint(1, 6)
+            names, reactions = random_system(rng, n, rng.randint(1, 2 * n))
+            subsets = canonical_subsets(names)
+            contexts = rng.sample(subsets, rng.randint(1, len(subsets)))
+            starts = rng.sample(subsets, rng.randint(1, min(3, len(subsets))))
+            got = reachable_from(reactions, contexts, starts)
+            assert got == plain(reactions, contexts, starts), case
 
     def test_target_mode_matches_the_pair_scan_oracle(self):
         # 4-7 species with 1-4 of them outside T, so a start frontier

@@ -8,6 +8,7 @@ import pytest
 import rsys.core
 from rsys.control import ControlQuery, MaxCardinality, find_witness
 from rsys.core import (
+    REPLAY_TABLE_STEPS,
     ContextSequence,
     Reaction,
     ReactionSystem,
@@ -55,6 +56,21 @@ class TestSpeciesTable:
         table = SpeciesTable(["a"])
         with pytest.raises(SpeciesMismatchError, match="unknown species 'q'"):
             table.index("q")
+
+    def test_set_of_rejects_what_index_rejects(self):
+        table = SpeciesTable(["a", "b"])
+        assert table.set_of(["b", "a", "b"]) == table.full_set
+        with pytest.raises(SpeciesMismatchError) as err:
+            table.set_of(["a", "q"])
+        assert str(err.value) == "unknown species 'q'"
+        # Not a string: hashable names are unknown, unhashable ones cannot
+        # be looked up at all, exactly as with `index`.
+        with pytest.raises(SpeciesMismatchError) as err:
+            table.set_of(["a", 3])
+        assert str(err.value) == "unknown species 3"
+        with pytest.raises(TypeError) as err:
+            table.set_of([["a"]])
+        assert str(err.value) == "unhashable type: 'list'"
 
     def test_full_and_empty_sets(self):
         table = SpeciesTable(["a", "b"])
@@ -263,7 +279,8 @@ class TestRunProcess:
         trace = run_process(toy, seq)
         assert len(trace) == 2
 
-    # 3 and 100 steps lie on both sides of the 2^RES_CHUNK_BITS crossover.
+    # 3 and 100 steps (4 and 101 contexts) lie on both sides of
+    # REPLAY_TABLE_STEPS, where run_process switches to its lookup tables.
     @pytest.mark.parametrize("steps", [3, 100])
     def test_products_outside_the_table_fail_the_range_check(self, steps):
         table = SpeciesTable(["a", "b"])
@@ -275,20 +292,6 @@ class TestRunProcess:
         contexts = [table.empty_set] * (steps - 1) + [table.set_of(["a"])] * 2
         with pytest.raises(SpeciesMismatchError, match="mask 0x4 out of range"):
             run_process(system, contexts)
-
-
-@pytest.fixture
-def table_builds(monkeypatch):
-    """Count the replay lookup tables run_process builds."""
-    calls = []
-    build = rsys.core.res_tables
-
-    def counting(*args):
-        calls.append(args[0])
-        return build(*args)
-
-    monkeypatch.setattr(rsys.core, "res_tables", counting)
-    return calls
 
 
 class TestReplayTables:
@@ -304,6 +307,16 @@ class TestReplayTables:
         witness = find_witness(system, ControlQuery(s1, target, MaxCardinality(1)))
         assert witness is not None and witness.hit_index <= 3
         assert table_builds == []
+
+    def test_the_switch_is_the_sequence_length(self, table_builds):
+        system = load_builtin().model.system
+        gf = system.species.set_of(["GF"])
+        for length in (REPLAY_TABLE_STEPS, REPLAY_TABLE_STEPS + 1):
+            trace = run_process(system, [gf] * length)
+            expected = run_oracle(plain_reactions(system), [frozenset({"GF"})] * length)
+            assert [names_of(d) for d in trace.results] == expected
+        # Only the longer sequence takes the tables.
+        assert table_builds == [len(system.species)]
 
     def test_a_long_replay_builds_them_once(self, table_builds):
         corpus = load_builtin()

@@ -21,6 +21,7 @@ from rsys.control import (
     verify_witness,
 )
 from rsys.core import (
+    REPLAY_TABLE_STEPS,
     RES_CHUNK_BITS,
     Reaction,
     ReactionSystem,
@@ -38,6 +39,7 @@ from rsys.dynamics import (
     superset_image_membership,
 )
 from rsys.formats import (
+    BooleanNetwork,
     ModelDocument,
     bn_to_reactions,
     parse_boolean_network,
@@ -112,12 +114,13 @@ class TestProcessSemantics:
     @given(data=st.data())
     @relaxed
     def test_long_replays_match_the_oracle(self, data):
-        # Up to 2^W contexts replay per reaction, longer ones through the
-        # lookup tables (W = RES_CHUNK_BITS). Tables of 65-130 species
-        # exceed the compiled kernel's 64 bits; W-1, W and W+1 species or
-        # reactions leave the last table chunk short, full or one bit over.
+        # Up to REPLAY_TABLE_STEPS contexts replay per reaction, longer ones
+        # through the byte tables. Tables of 65-130 species exceed the
+        # compiled kernel's 64 bits. 7-9 and 15-17 species or reactions
+        # leave the last byte short, full or one bit over, and W-1, W and
+        # W+1 (W = RES_CHUNK_BITS) add small sizes inside one byte.
         w = RES_CHUNK_BITS
-        edges = [w - 1, w, w + 1]
+        edges = [w - 1, w, w + 1, 7, 8, 9, 15, 16, 17]
         n = data.draw(
             st.one_of(st.sampled_from(edges), st.integers(1, 130)), label="species"
         )
@@ -125,8 +128,12 @@ class TestProcessSemantics:
             st.one_of(st.sampled_from([0] + edges), st.integers(0, 130)),
             label="reactions",
         )
+        switch = REPLAY_TABLE_STEPS
         steps = data.draw(
-            st.one_of(st.sampled_from([1 << w, (1 << w) + 1]), st.integers(1, 200)),
+            st.one_of(
+                st.sampled_from([switch - 1, switch, switch + 1]),
+                st.integers(1, 2 * switch),
+            ),
             label="steps",
         )
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -152,6 +159,47 @@ class TestProcessSemantics:
             plain_reactions(system),
             [names_of(c) for c in contexts],
             None if initial is None else names_of(initial),
+        )
+        assert [names_of(d) for d in trace.results] == expected
+
+    @given(data=st.data())
+    @relaxed
+    def test_network_replays_match_the_oracle(self, data):
+        # Laid out as bn_to_reactions lays out species: variables, inputs,
+        # then one blocker per variable. Results hold variables only and
+        # contexts add a blocker now and then, so a state's top set byte
+        # mostly lies below the blockers' bytes and sometimes among them.
+        n_vars = data.draw(st.integers(1, 40), label="variables")
+        n_inputs = data.draw(st.integers(0, 4), label="inputs")
+        steps = data.draw(
+            st.sampled_from([REPLAY_TABLE_STEPS + 1, 3 * REPLAY_TABLE_STEPS]),
+            label="steps",
+        )
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # A trailing letter keeps labels such as rv1x2 and rv12x apart.
+        variables = [f"v{k}x" for k in range(n_vars)]
+        inputs = [f"u{k}" for k in range(n_inputs)]
+        updates = {}
+        for v in variables:
+            terms = []
+            for _ in range(rng.randint(1, 3)):
+                chosen = rng.sample(variables + inputs, rng.randint(1, min(3, n_vars)))
+                neg = frozenset(x for x in chosen if rng.random() < 0.4)
+                terms.append((frozenset(chosen) - neg, neg))
+            updates[v] = terms
+        system = bn_to_reactions(BooleanNetwork(variables, updates, inputs))
+        table = system.species
+        blockers = [f"i{v}" for v in variables]
+        contexts = []
+        for _ in range(steps):
+            c = [x for x in inputs if rng.random() < 0.5]
+            if rng.random() < 0.1:
+                c.append(rng.choice(blockers))
+            contexts.append(table.set_of(c))
+        initial = table.set_of(rng.sample(variables, n_vars // 3))
+        trace = run_process(system, contexts, initial_result=initial)
+        expected = oracles.run_oracle(
+            plain_reactions(system), [names_of(c) for c in contexts], names_of(initial)
         )
         assert [names_of(d) for d in trace.results] == expected
 
