@@ -64,9 +64,10 @@ def _pick_kernel(n_species: int, backend: Optional[str]):
 class Engine:
     """Mask-level view of one system, bound to a kernel backend.
 
-    The pure kernel's witness searches also get the system's
-    `split_tables`, which a search calls only once it is large; the tables
-    are then built once per system and kept on it (see `_kernel_py`).
+    The pure kernel's witness search also takes the system's
+    `split_tables`, which it calls only after SPLIT_AFTER expansions; the
+    tables are then built once per system and kept on it (see
+    `_kernel_py.bfs_witness`).
     """
 
     __slots__ = (

@@ -1,32 +1,31 @@
 """Pure-Python search kernel over int bit masks.
 
 This module defines the kernel contract; the compiled kernel
-(`_kernel_c.cpp`) takes the same arguments and returns the same values for
-masks below 2^64. This one works for any species count because Python
-ints are unbounded. Status codes for bfs_witness: 0 = goal found, 1 =
-frontier exhausted (definitive absence), 2 = stopped by the depth limit,
-3 = stopped by the node budget.
+(`_kernel_c.cpp`) takes the same arguments, less the pure witness search's
+`tables`, and returns the same values for masks below 2^64. This one works
+for any species count because Python ints are unbounded. Status codes for
+bfs_witness: 0 = goal found, 1 = frontier exhausted (definitive absence),
+2 = stopped by the depth limit, 3 = stopped by the node budget.
 
 Both kernels expand each distinct result value once. The compiled one
 evaluates each popped state in full. This one evaluates successors'
-results from one `core.res_split` per expanded result, and a witness
-search that has expanded SPLIT_AFTER results, a large one, changes how it
-expands them: it splits from the system's `core.res_split_tables`, and it
-inserts and queues most expansions' successors at once (see
-`_search_tables`). Statuses, hit states, paths, start indices, `visited`
-counts and depth and budget stops are the same either way; a search that
-stays small builds no tables.
+results from a split of each expanded result: `core.res_split` for a
+witness search's first SPLIT_AFTER expansions, the system's
+`core.res_split_tables` after that, when the same loop also inserts and
+queues most expansions' successors at once (see `bfs_witness`). Statuses,
+hit states, paths, start indices, `visited` counts and depth and budget
+stops are the same either way; a search that stays small builds no tables.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import count, repeat
-from typing import Callable, Optional
+from typing import Callable
 
 # res_mask belongs to the kernel API (Engine.res calls kernel.res_mask); the
 # searches below look it up as a module global.
-from .core import RES_CHUNK_BITS, res_mask, res_split, res_split_tables
+from .core import RES_CHUNK_BITS, res_mask, res_split
 
 BACKEND = "pure"
 
@@ -49,7 +48,7 @@ def bfs_witness(
     t_mask: int,
     depth_limit: int,
     node_budget: int,
-    tables: Optional[Callable[[], tuple]] = None,
+    tables: Callable[[], tuple],
 ) -> tuple[int, int, list[int], int, int]:
     """Shortest-path search over full states W with successors C ∪ res(W).
 
@@ -63,23 +62,32 @@ def bfs_witness(
     A state's successors depend only on its result d, so each distinct d is
     expanded once: an earlier state with the same d already inserted every
     successor, with the same parents, budget checks and depth marks. A
-    queued state carries its parent's `res_split` and its own context, and
-    its result is evaluated from them only when it is popped.
+    queued state carries its parent's split and its own context, and its
+    result is evaluated from them only when it is popped.
 
-    `tables`, when given, returns the system's `core.res_split_tables`; it
-    is called only once the search expands more than SPLIT_AFTER results.
-    Without it a large search builds the tables for itself.
+    The first SPLIT_AFTER results are split with `core.res_split`. After
+    that the search is a large one: `tables` returns the system's
+    `core.res_split_tables`, each result is split from them, and when the
+    successors c | d of an expansion are pairwise distinct, all new, no
+    goal and within the budget, one dict update inserts them all and one
+    batch (result, depth, base, adds) queues them. `adds` lists (context
+    index, products) for the first context that adds each distinct set of
+    products to `base`, memoized per split remainder: a later context with
+    the same products yields a result that is expanded by the time it is
+    popped. Every other expansion inserts and queues state by state.
     """
     union = 0
     for c in contexts:
         union |= c
+    n_ctx = len(contexts)
     # parent[w] = (previous state, context index); starts use index -1-k
     parent: dict[int, tuple[int, int]] = {}
     # (state, depth, context, base, rest): res(state) = base plus the
-    # products of the rest entries that context enables
-    queue: deque[tuple[int, int, int, int, tuple]] = deque()
+    # products of the rest entries that context enables; or a batch
+    queue: deque[tuple] = deque()
     expanded: set[int] = set()
     truncated = False
+    split = None
 
     for k, w in enumerate(starts):
         if w in parent:
@@ -94,103 +102,45 @@ def bfs_witness(
         else:
             queue.append((w, 0, 0, res_mask(w, rmasks, imasks, pmasks), ()))
 
-    while queue:
-        w, depth, c, d, rest = queue.popleft()
-        for r, i, p in rest:
-            if c & r == r and not c & i:
-                d |= p
-        if d in expanded:
-            continue
-        if len(expanded) == SPLIT_AFTER:
-            queue.appendleft((w, depth, 0, d, ()))
-            return _search_tables(
-                tables() if tables else res_split_tables(rmasks, imasks, pmasks),
-                parent, queue, expanded, truncated, contexts, union,
-                rmasks, imasks, pmasks, goal_mask, t_mask, depth_limit, node_budget,
-            )
-        expanded.add(d)
-        base, rest = res_split(d, union, rmasks, imasks, pmasks)
-        child_depth = depth + 1
-        for ci, c in enumerate(contexts):
-            w2 = c | d
-            if w2 in parent:
-                continue
-            if len(parent) >= node_budget:
-                return (BUDGET_STOP, 0, [], -1, len(parent))
-            parent[w2] = (w, ci)
-            if w2 & t_mask == goal_mask:
-                return _found(parent, w2)
-            if child_depth == depth_limit:
-                truncated = True
-            else:
-                queue.append((w2, child_depth, c, base, rest))
-    return (DEPTH_LIMITED if truncated else EXHAUSTED, 0, [], -1, len(parent))
-
-
-def _search_tables(
-    tables: tuple,
-    parent: dict[int, tuple[int, int]],
-    queue: deque[tuple],
-    expanded: set[int],
-    truncated: bool,
-    contexts: list[int],
-    union: int,
-    rmasks: tuple[int, ...],
-    imasks: tuple[int, ...],
-    pmasks: tuple[int, ...],
-    goal_mask: int,
-    t_mask: int,
-    depth_limit: int,
-    node_budget: int,
-) -> tuple[int, int, list[int], int, int]:
-    """The rest of a large `bfs_witness` search, from the state it was in.
-
-    Each result d is split from `tables` (see `core.res_split_tables`).
-    When the successors c | d are pairwise distinct, all new, no goal and
-    within the budget, one dict update inserts them all and one batch
-    (result, depth, base, adds) queues them. `adds` lists (context index,
-    products) for the first context that adds each distinct set of
-    products to `base`, memoized per split remainder: a later context with
-    the same products yields a result that is expanded by the time it is
-    popped. Every other expansion runs the first phase's per-state loop.
-    """
-    split = _table_split(tables, union, len(rmasks))
-    n_ctx = len(contexts)
-    distinct = len(set(contexts)) == n_ctx
-    # goal_hits[d & t_mask]: whether some successor c | d is a goal
-    goal_hits: dict[int, bool] = {}
-    rests: dict[tuple[int, int], tuple] = {}
-    batches: dict[tuple[int, int], tuple] = {}
-
     for w, depth, d in _popped(queue, expanded, contexts):
+        if len(expanded) == SPLIT_AFTER:
+            split = _table_split(tables(), union, len(rmasks))
+            distinct = len(set(contexts)) == n_ctx
+            # goal_hits[d & t_mask]: whether some successor c | d is a goal
+            goal_hits: dict[int, bool] = {}
+            rests: dict[tuple[int, int], tuple] = {}
+            batches: dict[tuple[int, int], tuple] = {}
         expanded.add(d)
-        base, kept = split(d)
-        # the rest entries depend on d only through d & union
-        key = (kept, d & union)
-        rest = rests.get(key)
-        if rest is None:
-            rest = rests[key] = tuple(
-                (rmasks[j] & ~d, imasks[j], pmasks[j]) for j in _bits(kept)
-            )
         child_depth = depth + 1
-        dt = d & t_mask
-        hit = goal_hits.get(dt)
-        if hit is None:
-            hit = goal_hits[dt] = any(c & t_mask | dt == goal_mask for c in contexts)
-        if not hit and len(parent) + n_ctx <= node_budget:
-            ws = [c | d for c in contexts]
-            if (
-                (distinct and not d & union) or len(set(ws)) == n_ctx
-            ) and parent.keys().isdisjoint(ws):
-                parent.update(zip(ws, zip(repeat(w), count())))
-                if child_depth == depth_limit:
-                    truncated = True
-                else:
-                    adds = batches.get(key)
-                    if adds is None:
-                        adds = batches[key] = _first_adds(contexts, rest)
-                    queue.append((d, child_depth, base, adds))
-                continue
+        if split is None:
+            base, rest = res_split(d, union, rmasks, imasks, pmasks)
+        else:
+            base, kept = split(d)
+            # the rest entries depend on d only through d & union
+            key = (kept, d & union)
+            rest = rests.get(key)
+            if rest is None:
+                rest = rests[key] = tuple(
+                    (rmasks[j] & ~d, imasks[j], pmasks[j]) for j in _bits(kept)
+                )
+            dt = d & t_mask
+            hit = goal_hits.get(dt)
+            if hit is None:
+                hit = goal_hits[dt] = any(c & t_mask | dt == goal_mask for c in contexts)
+            if not hit and len(parent) + n_ctx <= node_budget:
+                ws = [c | d for c in contexts]
+                if (
+                    (distinct and not d & union) or len(set(ws)) == n_ctx
+                ) and parent.keys().isdisjoint(ws):
+                    parent.update(zip(ws, zip(repeat(w), count())))
+                    if child_depth == depth_limit:
+                        truncated = True
+                    else:
+                        adds = batches.get(key)
+                        if adds is None:
+                            adds = batches[key] = _first_adds(contexts, rest)
+                        queue.append((d, child_depth, base, adds))
+                    continue
         for ci, c in enumerate(contexts):
             w2 = c | d
             if w2 in parent:

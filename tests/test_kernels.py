@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracles
+from families import counter
 from rsys import RsysError
 from rsys import _kernel_py
 from rsys.core import res_split, res_split_tables
@@ -54,13 +55,13 @@ def shift_system(rng, n_species, n_extra=3, inputs=0):
 def count_switches(monkeypatch):
     """A list that grows by one each time a pure search switches to tables."""
     calls = []
-    switch = _kernel_py._search_tables
+    switch = _kernel_py._table_split
 
     def counting(*args):
         calls.append(1)
         return switch(*args)
 
-    monkeypatch.setattr(_kernel_py, "_search_tables", counting)
+    monkeypatch.setattr(_kernel_py, "_table_split", counting)
     return calls
 
 
@@ -327,6 +328,28 @@ class TestSearchAgreement:
         if backend == "pure":
             assert switches
 
+    def test_contexts_not_closed_under_subsets_match(self, backend, monkeypatch):
+        """Context lists that are not closed under subsets, unlike those of
+        either constraint kind: successors c | d can be pairwise distinct
+        while d meets the contexts' union, so a result's split remainder
+        depends on more than the reactions it keeps."""
+        switches = count_switches(monkeypatch)
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(10, 14)
+            system = shift_system(rng, n, n_extra=rng.randint(3, 8))
+            contexts = list(dict.fromkeys(
+                rng.getrandbits(n) & rng.getrandbits(n) or 1
+                for _ in range(rng.randint(2, 4))
+            ))
+            starts = [rng.getrandbits(n)]
+            args = (starts, contexts, 1, 0, -1, UNLIMITED)
+            assert Engine(system, backend=backend).bfs_witness(*args) == (
+                witness_oracle(system, *args)
+            )
+        if backend == "pure":
+            assert switches
+
     def test_pure_search_above_64_species(self, monkeypatch):
         switches = count_switches(monkeypatch)
         rng = random.Random(30)
@@ -486,6 +509,62 @@ class TestSplitTables:
         assert 0 < len(switches) < 20
 
 
+class TestSwitchEdge:
+    """The 7-bit counter under contexts [∅, {inc}] from {} expands the
+    results 0, 1, 2, ... in turn, one per depth, so a pure search switches
+    to split tables exactly when it expands result SPLIT_AFTER."""
+
+    @staticmethod
+    def search(backend, monkeypatch, expanded, goal, t_mask, depth, budget):
+        """The search's output, checked against the oracle. On the pure
+        kernel it must expand `expanded` results and build the system's
+        split tables only past SPLIT_AFTER of them."""
+        assert _kernel_py.SPLIT_AFTER == 64
+        popped = _kernel_py._popped
+        seen = []
+
+        def counting(*args):
+            for item in popped(*args):
+                seen.append(item)
+                yield item
+
+        monkeypatch.setattr(_kernel_py, "_popped", counting)
+        system, _ = counter(7)
+        inc = system.species.set_of(["inc"]).mask
+        args = ([0], [0, inc], goal, t_mask, depth, budget)
+        out = Engine(system, backend=backend).bfs_witness(*args)
+        assert out == witness_oracle(system, *args)
+        if backend == "pure":
+            assert len(seen) == expanded
+            assert (system._split_tables is not None) == (expanded > 64)
+        else:
+            assert not seen and system._split_tables is None
+        return out
+
+    @pytest.mark.parametrize("goal, expanded, visited", [(63, 64, 127), (64, 65, 129)])
+    def test_goal_at_the_switch(self, backend, monkeypatch, goal, expanded, visited):
+        out = self.search(backend, monkeypatch, expanded, goal, (1 << 8) - 1, -1, UNLIMITED)
+        assert (out[0], len(out[2]), out[4]) == (FOUND, expanded, visited)
+
+    @pytest.mark.parametrize(
+        "depth, budget, status, visited, expanded",
+        [
+            (64, UNLIMITED, DEPTH_LIMITED, 128, 64),
+            (65, UNLIMITED, DEPTH_LIMITED, 130, 65),
+            (-1, 127, BUDGET_STOP, 127, 64),
+            (-1, 128, BUDGET_STOP, 128, 65),
+            (-1, 129, BUDGET_STOP, 129, 65),
+            (-1, 130, BUDGET_STOP, 130, 66),
+        ],
+    )
+    def test_stops_at_the_switch(
+        self, backend, monkeypatch, depth, budget, status, visited, expanded
+    ):
+        # t_mask 0 never matches goal 1: only the depth limit or budget stops it
+        out = self.search(backend, monkeypatch, expanded, 1, 0, depth, budget)
+        assert (out[0], out[4]) == (status, visited)
+
+
 def system_res(system, state):
     return oracles._res_mask(state, system.rmasks, system.imasks, system.pmasks)
 
@@ -563,8 +642,12 @@ MASK_ARGUMENTS = [
 
 class TestInvalidInput:
     def test_keyword_calls_agree(self, compiled):
+        # the pure search also takes the system's split tables
+        tables = {"bfs_witness": dict(tables=lambda: res_split_tables(**REACTIONS))}
         for fn, kwargs in CALLS.items():
-            assert getattr(compiled, fn)(**kwargs) == getattr(_kernel_py, fn)(**kwargs)
+            assert getattr(compiled, fn)(**kwargs) == getattr(_kernel_py, fn)(
+                **kwargs, **tables.get(fn, {})
+            )
 
     @pytest.mark.parametrize("bad", [1 << 64, -1])
     @pytest.mark.parametrize("fn, name", MASK_ARGUMENTS)
